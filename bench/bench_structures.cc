@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's own building
  * blocks: predictor, caches, DCPT, the compiler analyses, the
- * functional interpreter and the cycle-level core. These measure
+ * functional interpreter (construction and run), the pipeline-state
+ * index and the cycle-level core. These measure
  * simulator throughput (how fast the reproduction itself runs), which
  * bounds how much evaluation the figure benches can afford.
  */
@@ -15,6 +16,7 @@
 #include "sim/runner.h"
 #include "uarch/branch_predictor.h"
 #include "uarch/cache.h"
+#include "uarch/pipeline_index.h"
 #include "uarch/prefetcher.h"
 #include "workloads/workloads.h"
 
@@ -128,6 +130,75 @@ BM_Interpreter(benchmark::State &state)
         static_cast<int64_t>(state.iterations()) * 50000);
 }
 BENCHMARK(BM_Interpreter);
+
+void
+BM_InterpreterConstruct(benchmark::State &state)
+{
+    // Every registry program's data segments copied into a fresh
+    // memory image, as each trace preparation does once.
+    static const std::vector<Program> progs = [] {
+        std::vector<Program> v;
+        for (const std::string &name : workloadNames())
+            v.push_back(buildWorkload(name));
+        return v;
+    }();
+    int64_t bytes = 0;
+    for (const Program &prog : progs)
+        for (const DataSegment &seg : prog.dataSegments())
+            bytes += static_cast<int64_t>(seg.bytes.size());
+    for (auto _ : state) {
+        for (const Program &prog : progs) {
+            Interpreter interp(prog);
+            benchmark::DoNotOptimize(interp.memory().numPages());
+        }
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            bytes);
+}
+BENCHMARK(BM_InterpreterConstruct);
+
+void
+BM_PipelineIndexChurn(benchmark::State &state)
+{
+    // The index traffic of an in-order window over the mcf trace:
+    // dispatch every record, and once the window is full resolve,
+    // commit and free the oldest, querying the commit barriers as the
+    // commit stage does.
+    const TraceBundle &b = mcfBundle();
+    const TraceView trace = b.view();
+    const size_t n = trace.size();
+    constexpr size_t WINDOW = 224;
+    std::vector<InFlight> slots(WINDOW);
+    for (auto _ : state) {
+        PipelineIndex index(n);
+        Cycle now = 0;
+        for (size_t i = 0; i < n + WINDOW; ++i) {
+            InFlight &p = slots[i % WINDOW];
+            if (i >= WINDOW) {
+                benchmark::DoNotOptimize(index.oldestUnresolvedBranch());
+                benchmark::DoNotOptimize(index.oldestUncheckedMem(now));
+                if (p.isBranch)
+                    index.onResolve(&p);
+                index.onCommit(&p);
+                index.onFree(&p);
+            }
+            if (i >= n)
+                continue;
+            p.idx = static_cast<TraceIdx>(i);
+            p.rec = &trace[i];
+            p.isBranch = p.rec->isCondBr();
+            index.onDispatch(&p);
+            if (isMem(p.rec->op)) {
+                p.tlbDoneAt = ++now;
+                index.onTlbCheck(&p);
+            }
+        }
+        benchmark::DoNotOptimize(index.frontierSize());
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(n));
+}
+BENCHMARK(BM_PipelineIndexChurn);
 
 void
 BM_CoreInOrder(benchmark::State &state)

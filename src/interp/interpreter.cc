@@ -1,5 +1,6 @@
 #include "interp/interpreter.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -49,12 +50,25 @@ MemoryImage::write(uint64_t addr, uint64_t value, int bytes)
         write8(addr + i, static_cast<uint8_t>(value >> (8 * i)));
 }
 
+void
+MemoryImage::writeBytes(uint64_t addr, const uint8_t *data, size_t len)
+{
+    while (len > 0) {
+        size_t off = static_cast<size_t>(addr % PAGE_BYTES);
+        size_t n = std::min(len, static_cast<size_t>(PAGE_BYTES) - off);
+        std::memcpy(page(addr).data() + off, data, n);
+        addr += n;
+        data += n;
+        len -= n;
+    }
+}
+
 Interpreter::Interpreter(const Program &prog)
     : prog_(prog)
 {
+    // In segment order, so where segments overlap the later one wins.
     for (const auto &seg : prog.dataSegments())
-        for (size_t i = 0; i < seg.bytes.size(); ++i)
-            mem_.write8(seg.base + i, seg.bytes[i]);
+        mem_.writeBytes(seg.base, seg.bytes.data(), seg.bytes.size());
     x_.fill(0);
     f_.fill(0.0);
     x_[REG_SP] = static_cast<int64_t>(STACK_TOP);

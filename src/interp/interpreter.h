@@ -32,6 +32,9 @@ class MemoryImage
     uint64_t read(uint64_t addr, int bytes) const;
     void write(uint64_t addr, uint64_t value, int bytes);
 
+    /** Copy `len` bytes to `addr` onwards, one memcpy per page. */
+    void writeBytes(uint64_t addr, const uint8_t *data, size_t len);
+
     size_t numPages() const { return pages_.size(); }
 
   private:

@@ -99,9 +99,16 @@ class Program
     const Layout &layout() const { return layout_; }
 
   private:
+    /** Append a segment, noting whether it overlaps an earlier one. */
+    void addSegment(DataSegment seg);
+
     std::string name_;
     Function fn_;
     std::vector<DataSegment> segs_;
+    /** No two segments share a byte (pokeBytes' fast path). */
+    bool segsDisjoint_ = true;
+    /** Segment that took the last pokeBytes. */
+    size_t lastPoke_ = 0;
     Layout layout_;
     uint64_t heapNext_ = HEAP_BASE;
 };

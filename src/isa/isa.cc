@@ -71,150 +71,6 @@ opcodeName(Opcode op)
     }
 }
 
-bool
-isLoad(Opcode op)
-{
-    switch (op) {
-      case Opcode::LB: case Opcode::LH: case Opcode::LW: case Opcode::LD:
-      case Opcode::FLW: case Opcode::FLD:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isStore(Opcode op)
-{
-    switch (op) {
-      case Opcode::SB: case Opcode::SH: case Opcode::SW: case Opcode::SD:
-      case Opcode::FSW: case Opcode::FSD:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isCondBranch(Opcode op)
-{
-    switch (op) {
-      case Opcode::BEQ: case Opcode::BNE: case Opcode::BLT:
-      case Opcode::BGE: case Opcode::BLTU: case Opcode::BGEU:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isJump(Opcode op)
-{
-    return op == Opcode::JAL || op == Opcode::JALR;
-}
-
-bool
-isFloat(Opcode op)
-{
-    switch (op) {
-      case Opcode::FADD: case Opcode::FSUB: case Opcode::FMUL:
-      case Opcode::FDIV: case Opcode::FSQRT: case Opcode::FMADD:
-      case Opcode::FMIN: case Opcode::FMAX: case Opcode::FCVT_D_L:
-      case Opcode::FCVT_L_D: case Opcode::FEQ: case Opcode::FLT:
-      case Opcode::FLE: case Opcode::FMV:
-      case Opcode::FLW: case Opcode::FLD: case Opcode::FSW:
-      case Opcode::FSD:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isSetup(Opcode op)
-{
-    return op == Opcode::SET_BRANCH_ID || op == Opcode::SET_DEPENDENCY;
-}
-
-bool
-isCitOp(Opcode op)
-{
-    return op == Opcode::GET_CIT_ENTRY || op == Opcode::SET_CIT_ENTRY;
-}
-
-bool
-mayRaiseException(Opcode op)
-{
-    // RISC-V FP exceptions accrue in fcsr without trapping (Section 4.4),
-    // so only memory operations can raise.
-    return isMem(op);
-}
-
-FuClass
-fuClass(Opcode op)
-{
-    if (isLoad(op))
-        return FuClass::MemRead;
-    if (isStore(op))
-        return FuClass::MemWrite;
-    if (isControl(op))
-        return FuClass::Branch;
-    if (isSetup(op) || op == Opcode::NOP || op == Opcode::HALT)
-        return FuClass::None;
-    switch (op) {
-      case Opcode::MUL: case Opcode::MULH:
-        return FuClass::IntMul;
-      case Opcode::DIV: case Opcode::REM:
-        return FuClass::IntDiv;
-      case Opcode::FDIV: case Opcode::FSQRT:
-        return FuClass::FpDiv;
-      case Opcode::FMUL: case Opcode::FMADD:
-        return FuClass::FpMul;
-      case Opcode::FADD: case Opcode::FSUB: case Opcode::FMIN:
-      case Opcode::FMAX: case Opcode::FCVT_D_L: case Opcode::FCVT_L_D:
-      case Opcode::FEQ: case Opcode::FLT: case Opcode::FLE:
-      case Opcode::FMV:
-        return FuClass::FpAlu;
-      case Opcode::GET_CIT_ENTRY: case Opcode::SET_CIT_ENTRY:
-      case Opcode::FENCE:
-        return FuClass::IntAlu;
-      default:
-        return FuClass::IntAlu;
-    }
-}
-
-int
-execLatency(Opcode op)
-{
-    switch (fuClass(op)) {
-      case FuClass::IntAlu: return 1;
-      case FuClass::IntMul: return 3;
-      case FuClass::IntDiv: return 12;
-      case FuClass::FpAlu: return 3;
-      case FuClass::FpMul: return 4;
-      case FuClass::FpDiv: return 12;
-      case FuClass::Branch: return 1;
-      case FuClass::MemRead: return 1;   // address generation; cache adds
-      case FuClass::MemWrite: return 1;
-      case FuClass::None: return 0;
-      default: return 1;
-    }
-}
-
-int
-memAccessSize(Opcode op)
-{
-    switch (op) {
-      case Opcode::LB: case Opcode::SB: return 1;
-      case Opcode::LH: case Opcode::SH: return 2;
-      case Opcode::LW: case Opcode::SW: case Opcode::FLW:
-      case Opcode::FSW: return 4;
-      case Opcode::LD: case Opcode::SD: case Opcode::FLD:
-      case Opcode::FSD: return 8;
-      default: return 0;
-    }
-}
-
 namespace {
 
 std::string

@@ -71,33 +71,168 @@ struct Instruction
     std::string toString() const;
 };
 
-/** @name Opcode class queries @{ */
-bool isLoad(Opcode op);
-bool isStore(Opcode op);
-inline bool isMem(Opcode op) { return isLoad(op) || isStore(op); }
-bool isCondBranch(Opcode op);
-bool isJump(Opcode op);
-inline bool isControl(Opcode op) { return isCondBranch(op) || isJump(op); }
-bool isFloat(Opcode op);
-bool isSetup(Opcode op);   //!< setBranchId / setDependency
-bool isCitOp(Opcode op);   //!< getCITEntry / setCITEntry
+/**
+ * @name Opcode classes
+ *
+ * Every class query, the functional-unit class, the execution latency
+ * and the memory access size come from one constexpr row per opcode
+ * (OPCODE_TABLE), so the per-instruction queries of the core and the
+ * interpreter are a single indexed load. The table is indexed by the
+ * raw opcode byte and covers all 256 values: a byte that names no
+ * opcode reads as a plain one-cycle integer-ALU operation, which is
+ * what the class queries have always answered for it.
+ * @{
+ */
+
+/** Class bits of an OpcodeInfo row. */
+enum OpcodeClassBits : uint8_t
+{
+    OPC_LOAD = 1 << 0,
+    OPC_STORE = 1 << 1,
+    OPC_COND_BRANCH = 1 << 2,
+    OPC_JUMP = 1 << 3,
+    OPC_FLOAT = 1 << 4,
+    OPC_SETUP = 1 << 5,   //!< setBranchId / setDependency
+    OPC_CIT = 1 << 6,     //!< getCITEntry / setCITEntry
+};
+
+/** One opcode's static properties. */
+struct OpcodeInfo
+{
+    uint8_t cls = 0;               //!< OpcodeClassBits
+    FuClass fu = FuClass::IntAlu;
+    uint8_t latency = 1;           //!< cycles on its functional unit
+    uint8_t memBytes = 0;          //!< access size (memory ops only)
+};
+
+namespace isa_detail {
+
+/** Execution latency of each functional-unit class. Loads and stores
+ *  count address generation only; the cache hierarchy adds the rest. */
+constexpr uint8_t
+fuLatency(FuClass fu)
+{
+    switch (fu) {
+      case FuClass::IntMul: return 3;
+      case FuClass::IntDiv: return 12;
+      case FuClass::FpAlu: return 3;
+      case FuClass::FpMul: return 4;
+      case FuClass::FpDiv: return 12;
+      case FuClass::None: return 0;
+      default: return 1;
+    }
+}
+
+struct OpcodeTable
+{
+    OpcodeInfo rows[256];
+
+    constexpr void
+    set(Opcode op, FuClass fu, uint8_t cls = 0, uint8_t memBytes = 0)
+    {
+        rows[static_cast<uint8_t>(op)] =
+            OpcodeInfo{cls, fu, fuLatency(fu), memBytes};
+    }
+};
+
+constexpr OpcodeTable
+buildOpcodeTable()
+{
+    using O = Opcode;
+    using F = FuClass;
+    OpcodeTable t{};
+    for (O op : {O::ADD, O::SUB, O::AND, O::OR, O::XOR, O::SLL, O::SRL,
+                 O::SRA, O::SLT, O::SLTU, O::LUI, O::AUIPC, O::FENCE})
+        t.set(op, F::IntAlu);
+    t.set(O::MUL, F::IntMul);
+    t.set(O::MULH, F::IntMul);
+    t.set(O::DIV, F::IntDiv);
+    t.set(O::REM, F::IntDiv);
+
+    t.set(O::LB, F::MemRead, OPC_LOAD, 1);
+    t.set(O::LH, F::MemRead, OPC_LOAD, 2);
+    t.set(O::LW, F::MemRead, OPC_LOAD, 4);
+    t.set(O::LD, F::MemRead, OPC_LOAD, 8);
+    t.set(O::FLW, F::MemRead, OPC_LOAD | OPC_FLOAT, 4);
+    t.set(O::FLD, F::MemRead, OPC_LOAD | OPC_FLOAT, 8);
+    t.set(O::SB, F::MemWrite, OPC_STORE, 1);
+    t.set(O::SH, F::MemWrite, OPC_STORE, 2);
+    t.set(O::SW, F::MemWrite, OPC_STORE, 4);
+    t.set(O::SD, F::MemWrite, OPC_STORE, 8);
+    t.set(O::FSW, F::MemWrite, OPC_STORE | OPC_FLOAT, 4);
+    t.set(O::FSD, F::MemWrite, OPC_STORE | OPC_FLOAT, 8);
+
+    for (O op : {O::BEQ, O::BNE, O::BLT, O::BGE, O::BLTU, O::BGEU})
+        t.set(op, F::Branch, OPC_COND_BRANCH);
+    t.set(O::JAL, F::Branch, OPC_JUMP);
+    t.set(O::JALR, F::Branch, OPC_JUMP);
+
+    for (O op : {O::FADD, O::FSUB, O::FMIN, O::FMAX, O::FCVT_D_L,
+                 O::FCVT_L_D, O::FEQ, O::FLT, O::FLE, O::FMV})
+        t.set(op, F::FpAlu, OPC_FLOAT);
+    t.set(O::FMUL, F::FpMul, OPC_FLOAT);
+    t.set(O::FMADD, F::FpMul, OPC_FLOAT);
+    t.set(O::FDIV, F::FpDiv, OPC_FLOAT);
+    t.set(O::FSQRT, F::FpDiv, OPC_FLOAT);
+
+    t.set(O::SET_BRANCH_ID, F::None, OPC_SETUP);
+    t.set(O::SET_DEPENDENCY, F::None, OPC_SETUP);
+    t.set(O::GET_CIT_ENTRY, F::IntAlu, OPC_CIT);
+    t.set(O::SET_CIT_ENTRY, F::IntAlu, OPC_CIT);
+    t.set(O::NOP, F::None);
+    t.set(O::HALT, F::None);
+    return t;
+}
+
+inline constexpr OpcodeTable OPCODE_TABLE = buildOpcodeTable();
+
+} // namespace isa_detail
+
+/** The static properties of `op`. */
+constexpr const OpcodeInfo &
+opcodeInfo(Opcode op)
+{
+    return isa_detail::OPCODE_TABLE.rows[static_cast<uint8_t>(op)];
+}
+
+constexpr bool isLoad(Opcode op) { return opcodeInfo(op).cls & OPC_LOAD; }
+constexpr bool isStore(Opcode op) { return opcodeInfo(op).cls & OPC_STORE; }
+constexpr bool
+isMem(Opcode op)
+{
+    return opcodeInfo(op).cls & (OPC_LOAD | OPC_STORE);
+}
+constexpr bool
+isCondBranch(Opcode op)
+{
+    return opcodeInfo(op).cls & OPC_COND_BRANCH;
+}
+constexpr bool isJump(Opcode op) { return opcodeInfo(op).cls & OPC_JUMP; }
+constexpr bool
+isControl(Opcode op)
+{
+    return opcodeInfo(op).cls & (OPC_COND_BRANCH | OPC_JUMP);
+}
+constexpr bool isFloat(Opcode op) { return opcodeInfo(op).cls & OPC_FLOAT; }
+constexpr bool isSetup(Opcode op) { return opcodeInfo(op).cls & OPC_SETUP; }
+constexpr bool isCitOp(Opcode op) { return opcodeInfo(op).cls & OPC_CIT; }
 
 /**
  * True if the opcode can architecturally raise an exception: memory
  * operations (page faults / protection). On RISC-V, FP exceptions accrue
  * into fcsr and do not trap (Section 4.4), so FP ops are excluded.
  */
-bool mayRaiseException(Opcode op);
-/** @} */
+constexpr bool mayRaiseException(Opcode op) { return isMem(op); }
 
 /** Functional-unit class for the opcode. */
-FuClass fuClass(Opcode op);
+constexpr FuClass fuClass(Opcode op) { return opcodeInfo(op).fu; }
 
 /** Execution latency in cycles on its functional unit. */
-int execLatency(Opcode op);
+constexpr int execLatency(Opcode op) { return opcodeInfo(op).latency; }
 
 /** Access size in bytes for a memory opcode (0 otherwise). */
-int memAccessSize(Opcode op);
+constexpr int memAccessSize(Opcode op) { return opcodeInfo(op).memBytes; }
+/** @} */
 
 /**
  * Collect the source registers of an instruction into `out` (capacity 3),

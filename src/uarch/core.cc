@@ -77,7 +77,7 @@ Core::Core(const CoreConfig &cfg, TraceView trace,
       tlb_(cfg.tlbEntries, cfg.tlbMissPenalty),
       divFreeAt_(static_cast<size_t>(std::max(0, cfg.numIntDiv)), 0),
       fdivFreeAt_(static_cast<size_t>(std::max(0, cfg.numFpDiv)), 0),
-      committed_(trace_.size(), 0)
+      committed_(trace_.size(), 0), index_(trace_.size())
 {
     panic_if(misp.size() != trace_.size(),
              "misprediction vector does not match the trace");

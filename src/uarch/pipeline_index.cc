@@ -4,43 +4,46 @@
 
 namespace noreba {
 
+namespace {
+
+/** The live trace indices of an ordered index, oldest first. */
+template <typename V>
+std::vector<TraceIdx>
+liveIndices(const AscendingIndex<V> &index)
+{
+    std::vector<TraceIdx> out;
+    index.forEach([&](const auto &e) { out.push_back(e.idx); });
+    return out;
+}
+
+} // namespace
+
 void
 PipelineIndex::onDispatch(InFlight *p)
 {
     frontier_.pushBack(p);
-    inflightByIdx_[p->idx] = p;
+    inflightByIdx_[static_cast<size_t>(p->idx)] = p;
     const TraceRecord &rec = *p->rec;
     if (p->isBranch) {
-        unresolved_.emplace(p->idx, rec.pc);
-        unresolvedUncommitted_.insert(p->idx);
-        unresolvedByPc_[rec.pc].insert(p->idx);
+        unresolved_.push(p->idx, rec.pc);
+        unresolvedUncommitted_.push(p->idx, {});
+        unresolvedByPc_[rec.pc].push(p->idx, {});
     }
     if (isMem(rec.op))
-        uncheckedMem_.insert(p->idx);
+        uncheckedMem_.push(p->idx, {});
     if (rec.op == Opcode::FENCE)
-        fences_.insert(p->idx);
-}
-
-void
-PipelineIndex::eraseUnresolved(TraceIdx idx, uint64_t pc)
-{
-    unresolvedUncommitted_.erase(idx);
-    auto it = unresolvedByPc_.find(pc);
-    if (it != unresolvedByPc_.end()) {
-        it->second.erase(idx);
-        if (it->second.empty())
-            unresolvedByPc_.erase(it);
-    }
+        fences_.push(p->idx, {});
 }
 
 void
 PipelineIndex::onResolve(InFlight *p)
 {
-    auto it = unresolved_.find(p->idx);
-    if (it == unresolved_.end())
+    const auto *e = unresolved_.find(p->idx);
+    if (!e)
         return;
-    eraseUnresolved(it->first, it->second);
-    unresolved_.erase(it);
+    unresolvedByPc_[e->value].erase(p->idx);
+    unresolvedUncommitted_.erase(p->idx);
+    unresolved_.erase(p->idx);
 }
 
 void
@@ -87,14 +90,14 @@ PipelineIndex::onSquash(TraceIdx after)
     while (frontier_.tail() && frontier_.tail()->idx > after)
         frontier_.erase(frontier_.tail());
 
-    for (auto it = unresolved_.upper_bound(after);
-         it != unresolved_.end();) {
-        eraseUnresolved(it->first, it->second);
-        it = unresolved_.erase(it);
-    }
-    uncheckedMem_.erase(uncheckedMem_.upper_bound(after),
-                        uncheckedMem_.end());
-    fences_.erase(fences_.upper_bound(after), fences_.end());
+    // Every ordered index rolls back by suffix: the squashed entries
+    // are exactly the ones younger than `after`.
+    unresolved_.truncateAfter(after, [&](const auto &e) {
+        unresolvedByPc_[e.value].truncateAfter(after);
+    });
+    unresolvedUncommitted_.truncateAfter(after);
+    uncheckedMem_.truncateAfter(after);
+    fences_.truncateAfter(after);
     // tlbPending_ keeps stale entries; drainTlbPending's generation
     // check discards them. inflightByIdx_ entries die with onFree.
 }
@@ -106,9 +109,10 @@ PipelineIndex::onFree(InFlight *p)
              "freeing trace idx %d while still on the uncommitted "
              "frontier",
              p->idx);
-    auto it = inflightByIdx_.find(p->idx);
-    if (it != inflightByIdx_.end() && it->second == p)
-        inflightByIdx_.erase(it);
+    // Only the incarnation the slot names: a stale one (squashed, its
+    // index since re-dispatched) must not clear its successor.
+    if (findInFlight(p->idx) == p)
+        inflightByIdx_[static_cast<size_t>(p->idx)] = nullptr;
 }
 
 void
@@ -134,8 +138,8 @@ PipelineIndex::shadowVerify(const std::deque<InFlight *> &rob, Cycle now,
     // Naive commit barriers from a full ROB scan.
     TraceIdx naiveBranch = INT32_MAX;
     TraceIdx naiveMem = INT32_MAX;
-    std::set<TraceIdx> naiveUnchecked;
-    std::set<TraceIdx> naiveFences;
+    std::vector<TraceIdx> naiveUnchecked;
+    std::vector<TraceIdx> naiveFences;
     for (InFlight *p : rob) {
         if (p->committed)
             continue;
@@ -145,16 +149,16 @@ PipelineIndex::shadowVerify(const std::deque<InFlight *> &rob, Cycle now,
             !(p->tlbChecked && now >= p->tlbDoneAt)) {
             if (naiveMem == INT32_MAX)
                 naiveMem = p->idx;
-            naiveUnchecked.insert(p->idx);
+            naiveUnchecked.push_back(p->idx);
         }
         if (p->rec->op == Opcode::FENCE)
-            naiveFences.insert(p->idx);
+            naiveFences.push_back(p->idx);
         if (p->isBranch && !p->resolved) {
-            panic_if(!unresolvedUncommitted_.count(p->idx),
+            panic_if(!unresolvedUncommitted_.contains(p->idx),
                      "unresolved branch %d missing from the barrier "
                      "index",
                      p->idx);
-            panic_if(!unresolved_.count(p->idx),
+            panic_if(!unresolved_.contains(p->idx),
                      "unresolved branch %d missing from unresolved_",
                      p->idx);
         }
@@ -167,10 +171,10 @@ PipelineIndex::shadowVerify(const std::deque<InFlight *> &rob, Cycle now,
     panic_if(oldestUncheckedMem(now) != naiveMem,
              "oldestUncheckedMem: index %d vs naive %d",
              oldestUncheckedMem(now), naiveMem);
-    panic_if(uncheckedMem_ != naiveUnchecked,
+    panic_if(liveIndices(uncheckedMem_) != naiveUnchecked,
              "unchecked-memory index diverged (%zu vs %zu entries)",
              uncheckedMem_.size(), naiveUnchecked.size());
-    panic_if(fences_ != naiveFences,
+    panic_if(liveIndices(fences_) != naiveFences,
              "fence index diverged (%zu vs %zu entries)",
              fences_.size(), naiveFences.size());
 
@@ -186,20 +190,18 @@ PipelineIndex::shadowVerify(const std::deque<InFlight *> &rob, Cycle now,
 
     // Per-PC instance index is an exact partition of unresolved_.
     size_t byPcTotal = 0;
-    for (const auto &[pc, set] : unresolvedByPc_) {
-        panic_if(set.empty(), "empty per-PC bucket for pc %llx",
-                 static_cast<unsigned long long>(pc));
-        byPcTotal += set.size();
-        for (TraceIdx idx : set) {
-            auto it = unresolved_.find(idx);
-            panic_if(it == unresolved_.end() || it->second != pc,
+    for (const auto &[pc, bucket] : unresolvedByPc_) {
+        byPcTotal += bucket.size();
+        bucket.forEach([&, pc = pc](const auto &e) {
+            const auto *u = unresolved_.find(e.idx);
+            panic_if(!u || u->value != pc,
                      "per-PC bucket %llx holds idx %d not unresolved "
                      "at that site",
-                     static_cast<unsigned long long>(pc), idx);
-            panic_if(trace[static_cast<size_t>(idx)].pc != pc,
+                     static_cast<unsigned long long>(pc), e.idx);
+            panic_if(trace[static_cast<size_t>(e.idx)].pc != pc,
                      "per-PC bucket key %llx mismatches trace pc",
                      static_cast<unsigned long long>(pc));
-        }
+        });
     }
     panic_if(byPcTotal != unresolved_.size(),
              "per-PC partition lost entries (%zu vs %zu)", byPcTotal,

@@ -15,28 +15,194 @@
  * re-derives every answer from the naive ROB scan and panics on any
  * divergence, which is how the differential test pins the index to the
  * pre-index semantics bit for bit.
+ *
+ * Nothing here allocates per instruction. Instructions enter the window
+ * in ascending trace order and a squash removes a suffix, so every
+ * ordered index is an append-only ascending vector (AscendingIndex) and
+ * the in-flight lookup is a dense table indexed by trace position.
  */
 
 #ifndef NOREBA_UARCH_PIPELINE_INDEX_H
 #define NOREBA_UARCH_PIPELINE_INDEX_H
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <queue>
-#include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/intrusive_list.h"
+#include "common/logging.h"
 #include "interp/trace.h"
 #include "uarch/inflight.h"
 
 namespace noreba {
 
+/**
+ * Trace indices in ascending order, each with a value, built by appends
+ * only. Inserts must arrive in ascending order (panics otherwise), a
+ * squash drops a suffix, and an erase from the middle leaves a
+ * tombstone that is dropped once it reaches either end — so the oldest
+ * live entry is always the first one, and no operation allocates once
+ * the vector has grown to the window's size.
+ */
+template <typename V>
+class AscendingIndex
+{
+  public:
+    struct Entry
+    {
+        TraceIdx idx;
+        bool live;
+        V value;
+    };
+
+    bool empty() const { return live_ == 0; }
+    size_t size() const { return live_; }
+
+    /** Oldest live index, or `none` when empty. */
+    TraceIdx
+    oldest(TraceIdx none) const
+    {
+        return empty() ? none : entries_[head_].idx;
+    }
+
+    /** Append `idx`, which must be younger than every entry. */
+    void
+    push(TraceIdx idx, V value)
+    {
+        panic_if(entries_.size() > head_ && entries_.back().idx >= idx,
+                 "ascending index: insert of trace idx %d after %d", idx,
+                 entries_.back().idx);
+        entries_.push_back(Entry{idx, true, value});
+        ++live_;
+    }
+
+    /** The live entry for `idx`, or nullptr. */
+    const Entry *
+    find(TraceIdx idx) const
+    {
+        size_t i = position(idx);
+        return i < entries_.size() ? &entries_[i] : nullptr;
+    }
+
+    bool contains(TraceIdx idx) const { return find(idx) != nullptr; }
+
+    /** Tombstone `idx` if it is live; returns whether it was. */
+    bool
+    erase(TraceIdx idx)
+    {
+        size_t i = position(idx);
+        if (i == entries_.size())
+            return false;
+        entries_[i].live = false;
+        --live_;
+        trim();
+        return true;
+    }
+
+    /** Drop every entry younger than `after`, calling `onDrop(entry)`
+     *  for each live one (youngest first). */
+    template <typename F>
+    void
+    truncateAfter(TraceIdx after, F onDrop)
+    {
+        while (entries_.size() > head_ && entries_.back().idx > after) {
+            if (entries_.back().live) {
+                --live_;
+                onDrop(entries_.back());
+            }
+            entries_.pop_back();
+        }
+        trim();
+    }
+
+    void
+    truncateAfter(TraceIdx after)
+    {
+        truncateAfter(after, [](const Entry &) {});
+    }
+
+    /** Youngest live index older than `idx`, or TRACE_NONE. */
+    TraceIdx
+    youngestBefore(TraceIdx idx) const
+    {
+        auto first = entries_.begin() + static_cast<ptrdiff_t>(head_);
+        for (auto it = lowerBound(idx); it != first;) {
+            --it;
+            if (it->live)
+                return it->idx;
+        }
+        return TRACE_NONE;
+    }
+
+    /** Visit the live entries, oldest first. */
+    template <typename F>
+    void
+    forEach(F f) const
+    {
+        for (size_t i = head_; i < entries_.size(); ++i)
+            if (entries_[i].live)
+                f(entries_[i]);
+    }
+
+  private:
+    /** Position of the live entry for `idx`, or entries_.size(). */
+    size_t
+    position(TraceIdx idx) const
+    {
+        auto it = lowerBound(idx);
+        return it != entries_.end() && it->idx == idx && it->live
+                   ? static_cast<size_t>(it - entries_.begin())
+                   : entries_.size();
+    }
+
+    typename std::vector<Entry>::const_iterator
+    lowerBound(TraceIdx idx) const
+    {
+        return std::lower_bound(
+            entries_.begin() + static_cast<ptrdiff_t>(head_),
+            entries_.end(), idx,
+            [](const Entry &e, TraceIdx i) { return e.idx < i; });
+    }
+
+    /** Pop tombstones off both ends; reclaim the dead prefix once it
+     *  is at least half the vector (amortized O(1) per pop). */
+    void
+    trim()
+    {
+        while (entries_.size() > head_ && !entries_.back().live)
+            entries_.pop_back();
+        while (head_ < entries_.size() && !entries_[head_].live)
+            ++head_;
+        if (head_ == entries_.size()) {
+            entries_.clear();
+            head_ = 0;
+        } else if (head_ >= 64 && 2 * head_ >= entries_.size()) {
+            entries_.erase(entries_.begin(),
+                           entries_.begin() +
+                               static_cast<ptrdiff_t>(head_));
+            head_ = 0;
+        }
+    }
+
+    std::vector<Entry> entries_;
+    size_t head_ = 0; //!< first entry; live unless the index is empty
+    size_t live_ = 0;
+};
+
 class PipelineIndex
 {
   public:
+    /** @param traceLen records in the trace the core replays (sizes
+     *                  the dense in-flight table once) */
+    explicit PipelineIndex(size_t traceLen)
+        : inflightByIdx_(traceLen, nullptr)
+    {
+    }
+
     /** @name Mutation hooks (Core only, one per pipeline event) @{ */
 
     /** A renamed instruction entered the window (p->isBranch is set). */
@@ -66,9 +232,7 @@ class PipelineIndex
     TraceIdx
     oldestUnresolvedBranch() const
     {
-        return unresolvedUncommitted_.empty()
-                   ? INT32_MAX
-                   : *unresolvedUncommitted_.begin();
+        return unresolvedUncommitted_.oldest(INT32_MAX);
     }
 
     /**
@@ -79,37 +243,36 @@ class PipelineIndex
     oldestUncheckedMem(Cycle now)
     {
         drainTlbPending(now);
-        return uncheckedMem_.empty() ? INT32_MAX
-                                     : *uncheckedMem_.begin();
+        return uncheckedMem_.oldest(INT32_MAX);
     }
 
     /**
-     * All dispatched, still-unresolved branches (committed-early ones
-     * included, matching the historical set semantics), keyed by trace
-     * index with the static site PC as the value.
+     * Snapshot of all dispatched, still-unresolved branches
+     * (committed-early ones included, matching the historical set
+     * semantics) as (trace index, static site PC), oldest first. Test
+     * oracles only: it copies.
      */
-    const std::map<TraceIdx, uint64_t> &
+    std::vector<std::pair<TraceIdx, uint64_t>>
     unresolvedBranches() const
     {
-        return unresolved_;
+        std::vector<std::pair<TraceIdx, uint64_t>> out;
+        unresolved_.forEach(
+            [&](const auto &e) { out.emplace_back(e.idx, e.value); });
+        return out;
     }
 
     /** Oldest dispatched unresolved branch, or TRACE_NONE. */
     TraceIdx
     oldestUnresolved() const
     {
-        return unresolved_.empty() ? TRACE_NONE
-                                   : unresolved_.begin()->first;
+        return unresolved_.oldest(TRACE_NONE);
     }
 
     /** Youngest unresolved branch older than `idx`, or TRACE_NONE. */
     TraceIdx
     youngestUnresolvedBefore(TraceIdx idx) const
     {
-        auto it = unresolved_.lower_bound(idx);
-        if (it == unresolved_.begin())
-            return TRACE_NONE;
-        return std::prev(it)->first;
+        return unresolved_.youngestBefore(idx);
     }
 
     /** An unresolved instance of static site `pc` older than `before`. */
@@ -118,18 +281,19 @@ class PipelineIndex
     {
         auto it = unresolvedByPc_.find(pc);
         return it != unresolvedByPc_.end() &&
-               *it->second.begin() < before;
+               it->second.oldest(INT32_MAX) < before;
     }
 
-    /** Dispatched-but-uncommitted FENCE instructions, ordered. */
-    const std::set<TraceIdx> &fences() const { return fences_; }
+    /** Oldest dispatched-but-uncommitted FENCE, or INT32_MAX. */
+    TraceIdx oldestFence() const { return fences_.oldest(INT32_MAX); }
 
     /** In-flight instruction by trace index (nullptr if none). */
     InFlight *
     findInFlight(TraceIdx idx) const
     {
-        auto it = inflightByIdx_.find(idx);
-        return it == inflightByIdx_.end() ? nullptr : it->second;
+        return static_cast<size_t>(idx) < inflightByIdx_.size()
+                   ? inflightByIdx_[static_cast<size_t>(idx)]
+                   : nullptr;
     }
 
     /** @name Uncommitted frontier, program order @{ */
@@ -153,7 +317,6 @@ class PipelineIndex
 
   private:
     void drainTlbPending(Cycle now);
-    void eraseUnresolved(TraceIdx idx, uint64_t pc);
 
     using Frontier =
         IntrusiveList<InFlight, &InFlight::frontPrev,
@@ -171,20 +334,30 @@ class PipelineIndex
         }
     };
 
-    /** Dispatched unresolved branches: trace idx -> static site PC. */
-    std::map<TraceIdx, uint64_t> unresolved_;
+    /** Presence-only entries carry no value. */
+    struct NoValue
+    {
+    };
+    using IdxSet = AscendingIndex<NoValue>;
+
+    /** Dispatched unresolved branches, valued by static site PC. */
+    AscendingIndex<uint64_t> unresolved_;
     /** The uncommitted subset of unresolved_ (commit barrier). */
-    std::set<TraceIdx> unresolvedUncommitted_;
-    /** Static site PC -> unresolved dynamic instances (never empty). */
-    std::unordered_map<uint64_t, std::set<TraceIdx>> unresolvedByPc_;
+    IdxSet unresolvedUncommitted_;
+    /** Static site PC -> its unresolved dynamic instances. Buckets are
+     *  kept when they empty, so a site's vector is allocated once. */
+    std::unordered_map<uint64_t, IdxSet> unresolvedByPc_;
     /** Uncommitted memory ops not yet past their TLB check. */
-    std::set<TraceIdx> uncheckedMem_;
+    IdxSet uncheckedMem_;
     /** Checks in flight, keyed by completion time. */
     std::priority_queue<TlbPending, std::vector<TlbPending>,
                         std::greater<TlbPending>>
         tlbPending_;
-    std::set<TraceIdx> fences_;
-    std::unordered_map<TraceIdx, InFlight *> inflightByIdx_;
+    /** Dispatched-but-uncommitted FENCE instructions. */
+    IdxSet fences_;
+    /** Trace idx -> its live in-flight incarnation (dense, one slot per
+     *  record, sized at construction). */
+    std::vector<InFlight *> inflightByIdx_;
     Frontier frontier_;
 };
 

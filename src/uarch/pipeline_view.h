@@ -17,7 +17,7 @@
 #define NOREBA_UARCH_PIPELINE_VIEW_H
 
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "interp/trace.h"
@@ -92,8 +92,7 @@ class PipelineView
     bool
     fenceAllows(const InFlight *p) const
     {
-        const std::set<TraceIdx> &f = index_->fences();
-        return f.empty() || *f.begin() >= p->idx;
+        return index_->oldestFence() >= p->idx;
     }
 
     /**
@@ -156,9 +155,9 @@ class PipelineView
         return index_->youngestUnresolvedBefore(idx);
     }
 
-    /** Dispatched branches that have not resolved yet, keyed by trace
-     *  index with the static site PC as the value (test oracle). */
-    const std::map<TraceIdx, uint64_t> &
+    /** Dispatched branches that have not resolved yet, as (trace
+     *  index, static site PC), oldest first (test oracle; copies). */
+    std::vector<std::pair<TraceIdx, uint64_t>>
     unresolvedBranches() const
     {
         return index_->unresolvedBranches();

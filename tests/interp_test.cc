@@ -10,6 +10,7 @@
 #include "interp/interpreter.h"
 #include "ir/builder.h"
 #include "isa/setup_encoding.h"
+#include "workloads/workloads.h"
 
 namespace noreba {
 namespace {
@@ -314,6 +315,119 @@ TEST(MemoryImage, SparsePagesReadBackZeroAndWrites)
     EXPECT_EQ(mem.read8(0xfff), 0xbb);
     EXPECT_EQ(mem.read8(0x1000), 0xaa);
     EXPECT_GE(mem.numPages(), 2u);
+}
+
+/** The image a byte-at-a-time copy of `segs`, in order, produces. */
+MemoryImage
+byteWiseImage(const std::vector<DataSegment> &segs)
+{
+    MemoryImage ref;
+    for (const auto &seg : segs)
+        for (size_t i = 0; i < seg.bytes.size(); ++i)
+            ref.write8(seg.base + i, seg.bytes[i]);
+    return ref;
+}
+
+/** Same pages, and every byte of every page a segment touches equal. */
+void
+expectSameImage(const MemoryImage &got, const MemoryImage &ref,
+                const std::vector<DataSegment> &segs)
+{
+    ASSERT_EQ(got.numPages(), ref.numPages());
+    constexpr uint64_t P = MemoryImage::PAGE_BYTES;
+    for (const auto &seg : segs) {
+        if (seg.bytes.empty())
+            continue;
+        uint64_t first = seg.base / P;
+        uint64_t last = (seg.base + seg.bytes.size() - 1) / P;
+        for (uint64_t pg = first; pg <= last; ++pg)
+            for (uint64_t a = pg * P; a < (pg + 1) * P; ++a)
+                ASSERT_EQ(got.read8(a), ref.read8(a))
+                    << "address 0x" << std::hex << a;
+    }
+    EXPECT_EQ(got.numPages(), ref.numPages()); // reads added none
+}
+
+std::vector<uint8_t>
+patternBytes(size_t n, uint8_t seed)
+{
+    std::vector<uint8_t> v(n);
+    for (size_t i = 0; i < n; ++i)
+        v[i] = static_cast<uint8_t>(seed + 7 * i);
+    return v;
+}
+
+TEST(MemoryImage, BulkCopyStraddlingAPageBoundary)
+{
+    std::vector<DataSegment> segs{{0xff0, patternBytes(40, 3)}};
+    MemoryImage mem;
+    mem.writeBytes(segs[0].base, segs[0].bytes.data(),
+                   segs[0].bytes.size());
+    EXPECT_EQ(mem.numPages(), 2u);
+    expectSameImage(mem, byteWiseImage(segs), segs);
+}
+
+TEST(MemoryImage, BulkCopySpanningSeveralPages)
+{
+    std::vector<DataSegment> segs{
+        {0x2100, patternBytes(3 * MemoryImage::PAGE_BYTES + 77, 9)}};
+    MemoryImage mem;
+    mem.writeBytes(segs[0].base, segs[0].bytes.data(),
+                   segs[0].bytes.size());
+    EXPECT_EQ(mem.numPages(), 4u);
+    expectSameImage(mem, byteWiseImage(segs), segs);
+}
+
+TEST(MemoryImage, ZeroLengthBulkCopyTouchesNoPage)
+{
+    uint8_t byte = 0x5a;
+    MemoryImage mem;
+    mem.writeBytes(0x5000, &byte, 0);
+    EXPECT_EQ(mem.numPages(), 0u);
+}
+
+TEST(MemoryImage, OverlappingSegmentsLastOneWins)
+{
+    Program prog("overlap");
+    uint64_t a = prog.allocGlobal(16);
+    uint64_t b = prog.allocGlobal(16);
+    ASSERT_EQ(b, a + 16);
+    // Contained by neither segment: pokeBytes adds a third one that
+    // overlaps both.
+    std::vector<uint8_t> ee(16, 0xee);
+    prog.pokeBytes(a + 8, ee.data(), ee.size());
+    ASSERT_EQ(prog.dataSegments().size(), 3u);
+    // Only the third segment contains this range...
+    uint16_t mid = 0x1234;
+    prog.pokeBytes(a + 15, &mid, sizeof(mid));
+    // ...but the first contains this one, and so takes it, although
+    // the segment that took the previous poke contains it too.
+    uint8_t one = 0x11;
+    prog.pokeBytes(a + 9, &one, 1);
+    const auto &segs = prog.dataSegments();
+    ASSERT_EQ(segs.size(), 3u);
+    EXPECT_EQ(segs[0].bytes[9], 0x11);
+    EXPECT_EQ(segs[2].bytes[1], 0xee);
+    EXPECT_EQ(segs[2].bytes[7], 0x34);
+
+    Interpreter interp(prog); // the constructor only lays out memory
+    const MemoryImage &mem = interp.memory();
+    EXPECT_EQ(mem.read8(a + 9), 0xee); // the third segment wins
+    EXPECT_EQ(mem.read(a + 15, 2), 0x1234u);
+    EXPECT_EQ(mem.read8(a + 7), 0x00);
+    expectSameImage(mem, byteWiseImage(segs), segs);
+}
+
+TEST(MemoryImage, RegistryImagesMatchByteWiseCopy)
+{
+    for (const std::string &name : workloadNames()) {
+        SCOPED_TRACE(name);
+        Program prog = buildWorkload(name);
+        Interpreter interp(prog);
+        expectSameImage(interp.memory(),
+                        byteWiseImage(prog.dataSegments()),
+                        prog.dataSegments());
+    }
 }
 
 } // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "isa/isa.h"
 #include "isa/setup_encoding.h"
 
@@ -90,6 +92,117 @@ TEST(Isa, MemAccessSizes)
     EXPECT_EQ(memAccessSize(Opcode::LD), 8);
     EXPECT_EQ(memAccessSize(Opcode::FSD), 8);
     EXPECT_EQ(memAccessSize(Opcode::ADD), 0);
+}
+
+/** One opcode's expected classes, written out literally so that the
+ *  constexpr table in isa.h cannot drift unnoticed. */
+struct ExpectedOpcode
+{
+    Opcode op;
+    bool load, store, setup, condBranch, jump, fp, cit;
+    FuClass fu;
+    int latency;
+    int memBytes;
+};
+
+TEST(Isa, OpcodeTableMatchesLiteralExpectations)
+{
+    // Columns: load store setup condBranch jump float cit | fu
+    // latency memBytes. Rows in enum order, one per opcode.
+    const ExpectedOpcode expected[] = {
+        {Opcode::ADD, 0, 0, 0, 0, 0, 0, 0, FuClass::IntAlu, 1, 0},
+        {Opcode::SUB, 0, 0, 0, 0, 0, 0, 0, FuClass::IntAlu, 1, 0},
+        {Opcode::AND, 0, 0, 0, 0, 0, 0, 0, FuClass::IntAlu, 1, 0},
+        {Opcode::OR, 0, 0, 0, 0, 0, 0, 0, FuClass::IntAlu, 1, 0},
+        {Opcode::XOR, 0, 0, 0, 0, 0, 0, 0, FuClass::IntAlu, 1, 0},
+        {Opcode::SLL, 0, 0, 0, 0, 0, 0, 0, FuClass::IntAlu, 1, 0},
+        {Opcode::SRL, 0, 0, 0, 0, 0, 0, 0, FuClass::IntAlu, 1, 0},
+        {Opcode::SRA, 0, 0, 0, 0, 0, 0, 0, FuClass::IntAlu, 1, 0},
+        {Opcode::SLT, 0, 0, 0, 0, 0, 0, 0, FuClass::IntAlu, 1, 0},
+        {Opcode::SLTU, 0, 0, 0, 0, 0, 0, 0, FuClass::IntAlu, 1, 0},
+        {Opcode::LUI, 0, 0, 0, 0, 0, 0, 0, FuClass::IntAlu, 1, 0},
+        {Opcode::AUIPC, 0, 0, 0, 0, 0, 0, 0, FuClass::IntAlu, 1, 0},
+        {Opcode::MUL, 0, 0, 0, 0, 0, 0, 0, FuClass::IntMul, 3, 0},
+        {Opcode::MULH, 0, 0, 0, 0, 0, 0, 0, FuClass::IntMul, 3, 0},
+        {Opcode::DIV, 0, 0, 0, 0, 0, 0, 0, FuClass::IntDiv, 12, 0},
+        {Opcode::REM, 0, 0, 0, 0, 0, 0, 0, FuClass::IntDiv, 12, 0},
+        {Opcode::LB, 1, 0, 0, 0, 0, 0, 0, FuClass::MemRead, 1, 1},
+        {Opcode::LH, 1, 0, 0, 0, 0, 0, 0, FuClass::MemRead, 1, 2},
+        {Opcode::LW, 1, 0, 0, 0, 0, 0, 0, FuClass::MemRead, 1, 4},
+        {Opcode::LD, 1, 0, 0, 0, 0, 0, 0, FuClass::MemRead, 1, 8},
+        {Opcode::FLW, 1, 0, 0, 0, 0, 1, 0, FuClass::MemRead, 1, 4},
+        {Opcode::FLD, 1, 0, 0, 0, 0, 1, 0, FuClass::MemRead, 1, 8},
+        {Opcode::SB, 0, 1, 0, 0, 0, 0, 0, FuClass::MemWrite, 1, 1},
+        {Opcode::SH, 0, 1, 0, 0, 0, 0, 0, FuClass::MemWrite, 1, 2},
+        {Opcode::SW, 0, 1, 0, 0, 0, 0, 0, FuClass::MemWrite, 1, 4},
+        {Opcode::SD, 0, 1, 0, 0, 0, 0, 0, FuClass::MemWrite, 1, 8},
+        {Opcode::FSW, 0, 1, 0, 0, 0, 1, 0, FuClass::MemWrite, 1, 4},
+        {Opcode::FSD, 0, 1, 0, 0, 0, 1, 0, FuClass::MemWrite, 1, 8},
+        {Opcode::BEQ, 0, 0, 0, 1, 0, 0, 0, FuClass::Branch, 1, 0},
+        {Opcode::BNE, 0, 0, 0, 1, 0, 0, 0, FuClass::Branch, 1, 0},
+        {Opcode::BLT, 0, 0, 0, 1, 0, 0, 0, FuClass::Branch, 1, 0},
+        {Opcode::BGE, 0, 0, 0, 1, 0, 0, 0, FuClass::Branch, 1, 0},
+        {Opcode::BLTU, 0, 0, 0, 1, 0, 0, 0, FuClass::Branch, 1, 0},
+        {Opcode::BGEU, 0, 0, 0, 1, 0, 0, 0, FuClass::Branch, 1, 0},
+        {Opcode::JAL, 0, 0, 0, 0, 1, 0, 0, FuClass::Branch, 1, 0},
+        {Opcode::JALR, 0, 0, 0, 0, 1, 0, 0, FuClass::Branch, 1, 0},
+        {Opcode::FADD, 0, 0, 0, 0, 0, 1, 0, FuClass::FpAlu, 3, 0},
+        {Opcode::FSUB, 0, 0, 0, 0, 0, 1, 0, FuClass::FpAlu, 3, 0},
+        {Opcode::FMUL, 0, 0, 0, 0, 0, 1, 0, FuClass::FpMul, 4, 0},
+        {Opcode::FDIV, 0, 0, 0, 0, 0, 1, 0, FuClass::FpDiv, 12, 0},
+        {Opcode::FSQRT, 0, 0, 0, 0, 0, 1, 0, FuClass::FpDiv, 12, 0},
+        {Opcode::FMADD, 0, 0, 0, 0, 0, 1, 0, FuClass::FpMul, 4, 0},
+        {Opcode::FMIN, 0, 0, 0, 0, 0, 1, 0, FuClass::FpAlu, 3, 0},
+        {Opcode::FMAX, 0, 0, 0, 0, 0, 1, 0, FuClass::FpAlu, 3, 0},
+        {Opcode::FCVT_D_L, 0, 0, 0, 0, 0, 1, 0, FuClass::FpAlu, 3, 0},
+        {Opcode::FCVT_L_D, 0, 0, 0, 0, 0, 1, 0, FuClass::FpAlu, 3, 0},
+        {Opcode::FEQ, 0, 0, 0, 0, 0, 1, 0, FuClass::FpAlu, 3, 0},
+        {Opcode::FLT, 0, 0, 0, 0, 0, 1, 0, FuClass::FpAlu, 3, 0},
+        {Opcode::FLE, 0, 0, 0, 0, 0, 1, 0, FuClass::FpAlu, 3, 0},
+        {Opcode::FMV, 0, 0, 0, 0, 0, 1, 0, FuClass::FpAlu, 3, 0},
+        {Opcode::FENCE, 0, 0, 0, 0, 0, 0, 0, FuClass::IntAlu, 1, 0},
+        {Opcode::SET_BRANCH_ID, 0, 0, 1, 0, 0, 0, 0, FuClass::None, 0, 0},
+        {Opcode::SET_DEPENDENCY, 0, 0, 1, 0, 0, 0, 0, FuClass::None, 0, 0},
+        {Opcode::GET_CIT_ENTRY, 0, 0, 0, 0, 0, 0, 1, FuClass::IntAlu, 1, 0},
+        {Opcode::SET_CIT_ENTRY, 0, 0, 0, 0, 0, 0, 1, FuClass::IntAlu, 1, 0},
+        {Opcode::NOP, 0, 0, 0, 0, 0, 0, 0, FuClass::None, 0, 0},
+        {Opcode::HALT, 0, 0, 0, 0, 0, 0, 0, FuClass::None, 0, 0},
+    };
+    ASSERT_EQ(std::size(expected),
+              static_cast<size_t>(Opcode::NUM_OPCODES));
+    for (size_t i = 0; i < std::size(expected); ++i) {
+        const ExpectedOpcode &e = expected[i];
+        ASSERT_EQ(static_cast<size_t>(e.op), i) << "row order";
+        SCOPED_TRACE(opcodeName(e.op));
+        EXPECT_EQ(isLoad(e.op), e.load);
+        EXPECT_EQ(isStore(e.op), e.store);
+        EXPECT_EQ(isMem(e.op), e.load || e.store);
+        EXPECT_EQ(mayRaiseException(e.op), e.load || e.store);
+        EXPECT_EQ(isSetup(e.op), e.setup);
+        EXPECT_EQ(isCondBranch(e.op), e.condBranch);
+        EXPECT_EQ(isJump(e.op), e.jump);
+        EXPECT_EQ(isControl(e.op), e.condBranch || e.jump);
+        EXPECT_EQ(isFloat(e.op), e.fp);
+        EXPECT_EQ(isCitOp(e.op), e.cit);
+        EXPECT_EQ(fuClass(e.op), e.fu);
+        EXPECT_EQ(execLatency(e.op), e.latency);
+        EXPECT_EQ(memAccessSize(e.op), e.memBytes);
+    }
+}
+
+TEST(Isa, BytesNamingNoOpcodeReadAsPlainAlu)
+{
+    // Trace records are mapped from disk, so every byte value must be
+    // answerable: unnamed ones behave as a one-cycle integer-ALU op.
+    for (int v = static_cast<int>(Opcode::NUM_OPCODES); v < 256; ++v) {
+        Opcode op = static_cast<Opcode>(v);
+        EXPECT_FALSE(isMem(op) || isControl(op) || isSetup(op) ||
+                     isFloat(op) || isCitOp(op))
+            << v;
+        EXPECT_EQ(fuClass(op), FuClass::IntAlu) << v;
+        EXPECT_EQ(execLatency(op), 1) << v;
+        EXPECT_EQ(memAccessSize(op), 0) << v;
+    }
 }
 
 TEST(Isa, SourceRegsSkipsZeroAndNone)

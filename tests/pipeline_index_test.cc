@@ -13,7 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+
 #include "common/intrusive_list.h"
+#include "uarch/pipeline_index.h"
 #include "test_util.h"
 
 namespace noreba {
@@ -196,6 +200,124 @@ stormProgram(uint64_t seed, int64_t iters)
     runBranchDependencePass(prog);
     return prog;
 }
+
+/** @name PipelineIndex unit tests @{ */
+
+/** An in-flight instruction for `rec` at trace position `idx`. */
+InFlight
+inflightAt(TraceIdx idx, const TraceRecord &rec)
+{
+    InFlight p;
+    p.idx = idx;
+    p.rec = &rec;
+    p.isBranch = rec.isCondBr();
+    return p;
+}
+
+TEST(PipelineIndex, StaleFreeKeepsRedispatchedSlot)
+{
+    TraceRecord add;
+    add.op = Opcode::ADD;
+    PipelineIndex index(8);
+    InFlight first = inflightAt(3, add);
+    index.onDispatch(&first);
+    EXPECT_EQ(index.findInFlight(3), &first);
+    index.onSquash(2);
+    // The re-fetched instance dispatches before the squashed slot is
+    // recycled; freeing the stale incarnation must leave it mapped.
+    InFlight second = inflightAt(3, add);
+    index.onDispatch(&second);
+    index.onFree(&first);
+    EXPECT_EQ(index.findInFlight(3), &second);
+    index.onCommit(&second);
+    index.onFree(&second);
+    EXPECT_EQ(index.findInFlight(3), nullptr);
+}
+
+TEST(PipelineIndex, FindInFlightPastTheTraceEndIsNull)
+{
+    TraceRecord add;
+    add.op = Opcode::ADD;
+    PipelineIndex index(4);
+    InFlight last = inflightAt(3, add);
+    index.onDispatch(&last);
+    EXPECT_EQ(index.findInFlight(3), &last);
+    EXPECT_EQ(index.findInFlight(4), nullptr);
+    EXPECT_EQ(index.findInFlight(INT32_MAX), nullptr);
+    EXPECT_EQ(index.findInFlight(TRACE_NONE), nullptr);
+}
+
+TEST(PipelineIndexDeathTest, OutOfOrderDispatchPanics)
+{
+    TraceRecord ld;
+    ld.op = Opcode::LW;
+    PipelineIndex index(8);
+    InFlight young = inflightAt(5, ld);
+    InFlight old = inflightAt(4, ld);
+    index.onDispatch(&young);
+    EXPECT_DEATH(index.onDispatch(&old), "ascending index");
+}
+
+TEST(AscendingIndexDeathTest, RepeatedInsertPanics)
+{
+    AscendingIndex<int> index;
+    index.push(7, 0);
+    EXPECT_DEATH(index.push(7, 0), "ascending index");
+}
+
+TEST(AscendingIndex, MatchesAnOrderedSetUnderRandomChurn)
+{
+    // Dispatch-like appends, middle erases (tombstones), and squash-
+    // like suffix drops, against std::map as the reference.
+    std::mt19937 rng(5);
+    AscendingIndex<int> index;
+    std::map<TraceIdx, int> ref;
+    TraceIdx next = 0;
+    for (int step = 0; step < 20000; ++step) {
+        int op = static_cast<int>(rng() % 10);
+        if (op < 5) {
+            next += 1 + static_cast<TraceIdx>(rng() % 3);
+            index.push(next, next * 2);
+            ref.emplace(next, next * 2);
+        } else if (op < 9 && next > 0) {
+            TraceIdx victim = static_cast<TraceIdx>(rng() % (next + 1));
+            EXPECT_EQ(index.erase(victim), ref.erase(victim) == 1);
+        } else if (next > 0) {
+            TraceIdx after = next - static_cast<TraceIdx>(rng() % 8);
+            std::vector<TraceIdx> dropped;
+            index.truncateAfter(after, [&](const auto &e) {
+                dropped.push_back(e.idx);
+            });
+            std::vector<TraceIdx> expectDropped;
+            while (!ref.empty() && ref.rbegin()->first > after) {
+                expectDropped.push_back(ref.rbegin()->first);
+                ref.erase(std::prev(ref.end()));
+            }
+            EXPECT_EQ(dropped, expectDropped);
+            next = after; // fetch restarts after the squash point
+        }
+        ASSERT_EQ(index.size(), ref.size());
+        ASSERT_EQ(index.oldest(TRACE_NONE),
+                  ref.empty() ? TRACE_NONE : ref.begin()->first);
+        TraceIdx probe = static_cast<TraceIdx>(rng() % (next + 2));
+        auto it = ref.lower_bound(probe);
+        ASSERT_EQ(index.youngestBefore(probe),
+                  it == ref.begin() ? TRACE_NONE : std::prev(it)->first);
+        const auto *e = index.find(probe);
+        ASSERT_EQ(e != nullptr, ref.count(probe) == 1);
+        if (e) {
+            ASSERT_EQ(e->value, ref.at(probe));
+        }
+    }
+    std::vector<TraceIdx> live;
+    index.forEach([&](const auto &e) { live.push_back(e.idx); });
+    std::vector<TraceIdx> expectLive;
+    for (const auto &kv : ref)
+        expectLive.push_back(kv.first);
+    EXPECT_EQ(live, expectLive);
+}
+
+/** @} */
 
 /** A small window magnifies squash/reclaim edge interleavings. */
 CoreConfig
