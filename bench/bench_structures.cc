@@ -3,19 +3,22 @@
  * google-benchmark microbenchmarks of the simulator's own building
  * blocks: predictor, caches, DCPT, the compiler analyses, the
  * functional interpreter (construction and run), the pipeline-state
- * index and the cycle-level core. These measure
+ * index, the completion-event wheel, the ring-buffer FIFO and the
+ * cycle-level core. These measure
  * simulator throughput (how fast the reproduction itself runs), which
  * bounds how much evaluation the figure benches can afford.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "common/ring_queue.h"
 #include "compiler/branch_dep.h"
 #include "interp/interpreter.h"
 #include "ir/dominance.h"
 #include "sim/runner.h"
 #include "uarch/branch_predictor.h"
 #include "uarch/cache.h"
+#include "uarch/completion_wheel.h"
 #include "uarch/pipeline_index.h"
 #include "uarch/prefetcher.h"
 #include "workloads/workloads.h"
@@ -199,6 +202,70 @@ BM_PipelineIndexChurn(benchmark::State &state)
                             static_cast<int64_t>(n));
 }
 BENCHMARK(BM_PipelineIndexChurn);
+
+void
+BM_CompletionEvents(benchmark::State &state)
+{
+    // The core's completion traffic: up to four issues a cycle, mostly
+    // short latencies with a tail of cache and DRAM misses (a few past
+    // the wheel's horizon), every due event drained at writeback.
+    constexpr int CYCLES = 100000;
+    std::vector<uint32_t> latency(4096);
+    uint64_t x = 88172645463325252ull;
+    for (uint32_t &l : latency) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        uint32_t r = static_cast<uint32_t>(x % 100);
+        l = r < 70 ? 1 + r % 4 : r < 95 ? 12 + r % 30 : 236 + r * 3;
+    }
+    int64_t events = 0;
+    for (auto _ : state) {
+        CompletionWheel<uint32_t> wheel(512);
+        CompletionWheel<uint32_t>::Event e;
+        uint64_t seq = 0;
+        size_t li = 0;
+        for (uint64_t now = 0; now < CYCLES; ++now) {
+            while (wheel.popDue(now, e))
+                benchmark::DoNotOptimize(e.payload);
+            for (int i = 0; i < 4; ++i, ++seq, ++events) {
+                wheel.push(now + latency[li], seq,
+                           static_cast<uint32_t>(seq));
+                li = (li + 1) & (latency.size() - 1);
+            }
+        }
+    }
+    state.SetItemsProcessed(events);
+}
+BENCHMARK(BM_CompletionEvents);
+
+void
+BM_RingQueueChurn(benchmark::State &state)
+{
+    // ROB-shaped FIFO traffic: four pushes and up to four pops a cycle
+    // around a 224-entry window, with a squash (tail truncation) every
+    // few hundred cycles.
+    constexpr int CYCLES = 100000;
+    std::vector<InFlight> slots(256);
+    int64_t ops = 0;
+    for (auto _ : state) {
+        RingQueue<InFlight *> rob;
+        size_t next = 0;
+        for (int c = 0; c < CYCLES; ++c) {
+            for (int i = 0; i < 4 && rob.size() < 224; ++i, ++ops)
+                rob.push_back(&slots[next++ & 255]);
+            for (int i = 0; i < 3 && !rob.empty(); ++i, ++ops)
+                rob.pop_front();
+            if (c % 300 == 299) {
+                for (int i = 0; i < 40 && !rob.empty(); ++i, ++ops)
+                    rob.pop_back();
+            }
+        }
+        benchmark::DoNotOptimize(rob.size());
+    }
+    state.SetItemsProcessed(ops);
+}
+BENCHMARK(BM_RingQueueChurn);
 
 void
 BM_CoreInOrder(benchmark::State &state)

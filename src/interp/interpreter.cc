@@ -85,6 +85,21 @@ signExtend(uint64_t v, int bytes)
     return static_cast<int64_t>(v << shift) >> shift;
 }
 
+/** Two's-complement a + b, wrapping like the hardware (no UB). */
+int64_t
+wrapAdd(int64_t a, int64_t b)
+{
+    return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                                static_cast<uint64_t>(b));
+}
+
+/** Two's-complement -a (INT64_MIN stays INT64_MIN). */
+int64_t
+wrapNeg(int64_t a)
+{
+    return static_cast<int64_t>(0 - static_cast<uint64_t>(a));
+}
+
 } // namespace
 
 DynamicTrace
@@ -209,12 +224,18 @@ Interpreter::run(const InterpOptions &opts)
             int64_t b = inst.rs2 == REG_NONE ? inst.imm : intSrc(inst.rs2);
             int64_t r = 0;
             switch (inst.op) {
-              case Opcode::ADD: r = a + b; break;
-              case Opcode::SUB: r = a - b; break;
+              case Opcode::ADD: r = wrapAdd(a, b); break;
+              case Opcode::SUB:
+                r = static_cast<int64_t>(static_cast<uint64_t>(a) -
+                                         static_cast<uint64_t>(b));
+                break;
               case Opcode::AND: r = a & b; break;
               case Opcode::OR: r = a | b; break;
               case Opcode::XOR: r = a ^ b; break;
-              case Opcode::SLL: r = a << (b & 63); break;
+              case Opcode::SLL:
+                r = static_cast<int64_t>(static_cast<uint64_t>(a)
+                                         << (b & 63));
+                break;
               case Opcode::SRL:
                 r = static_cast<int64_t>(
                     static_cast<uint64_t>(a) >> (b & 63));
@@ -224,13 +245,22 @@ Interpreter::run(const InterpOptions &opts)
               case Opcode::SLTU:
                 r = static_cast<uint64_t>(a) < static_cast<uint64_t>(b);
                 break;
-              case Opcode::MUL: r = a * b; break;
+              case Opcode::MUL:
+                r = static_cast<int64_t>(static_cast<uint64_t>(a) *
+                                         static_cast<uint64_t>(b));
+                break;
               case Opcode::MULH:
                 r = static_cast<int64_t>(
                     (static_cast<__int128>(a) * b) >> 64);
                 break;
-              case Opcode::DIV: r = b == 0 ? -1 : a / b; break;
-              case Opcode::REM: r = b == 0 ? a : a % b; break;
+              // RISC-V: x / 0 = -1 and x % 0 = x; the one signed
+              // overflow, INT64_MIN / -1, gives INT64_MIN remainder 0.
+              case Opcode::DIV:
+                r = b == 0 ? -1 : b == -1 ? wrapNeg(a) : a / b;
+                break;
+              case Opcode::REM:
+                r = b == 0 ? a : b == -1 ? 0 : a % b;
+                break;
               default: break;
             }
             writeInt(inst.rd, r);
@@ -240,13 +270,13 @@ Interpreter::run(const InterpOptions &opts)
             writeInt(inst.rd, inst.imm);
             break;
           case Opcode::AUIPC:
-            writeInt(inst.rd, static_cast<int64_t>(pc) + inst.imm);
+            writeInt(inst.rd, wrapAdd(static_cast<int64_t>(pc), inst.imm));
             break;
 
           case Opcode::LB: case Opcode::LH: case Opcode::LW:
           case Opcode::LD: {
             uint64_t addr =
-                static_cast<uint64_t>(intSrc(inst.rs1) + inst.imm);
+                static_cast<uint64_t>(wrapAdd(intSrc(inst.rs1), inst.imm));
             int bytes = memAccessSize(inst.op);
             rec.addrOrImm = addr;
             rec.memSize = static_cast<uint8_t>(bytes);
@@ -255,7 +285,7 @@ Interpreter::run(const InterpOptions &opts)
           }
           case Opcode::FLW: case Opcode::FLD: {
             uint64_t addr =
-                static_cast<uint64_t>(intSrc(inst.rs1) + inst.imm);
+                static_cast<uint64_t>(wrapAdd(intSrc(inst.rs1), inst.imm));
             int bytes = memAccessSize(inst.op);
             rec.addrOrImm = addr;
             rec.memSize = static_cast<uint8_t>(bytes);
@@ -275,7 +305,7 @@ Interpreter::run(const InterpOptions &opts)
           case Opcode::SB: case Opcode::SH: case Opcode::SW:
           case Opcode::SD: {
             uint64_t addr =
-                static_cast<uint64_t>(intSrc(inst.rs1) + inst.imm);
+                static_cast<uint64_t>(wrapAdd(intSrc(inst.rs1), inst.imm));
             int bytes = memAccessSize(inst.op);
             rec.addrOrImm = addr;
             rec.memSize = static_cast<uint8_t>(bytes);
@@ -285,7 +315,7 @@ Interpreter::run(const InterpOptions &opts)
           }
           case Opcode::FSW: case Opcode::FSD: {
             uint64_t addr =
-                static_cast<uint64_t>(intSrc(inst.rs1) + inst.imm);
+                static_cast<uint64_t>(wrapAdd(intSrc(inst.rs1), inst.imm));
             int bytes = memAccessSize(inst.op);
             rec.addrOrImm = addr;
             rec.memSize = static_cast<uint8_t>(bytes);

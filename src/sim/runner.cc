@@ -76,6 +76,18 @@ prepareTrace(const std::string &workload, const TraceOptions &opts)
     return bundle;
 }
 
+TraceBundle
+stripSetupsFrom(const TraceBundle &full)
+{
+    TraceBundle bundle;
+    bundle.workload = full.workload;
+    bundle.pass = full.pass;
+    bundle.checksum = full.checksum;
+    bundle.trace = stripSetupRecords(full.view());
+    bundle.misp = precomputeMispredictions(bundle.trace);
+    return bundle;
+}
+
 CoreStats
 simulate(const CoreConfig &cfg, const TraceBundle &bundle)
 {

@@ -71,6 +71,13 @@ TraceBundle prepareTrace(const std::string &workload,
  */
 DynamicTrace stripSetupRecords(const TraceView &in);
 
+/**
+ * The setup-stripped variant of an unstripped bundle: exactly what
+ * prepareTrace() with TraceOptions::stripSetups returns for the same
+ * workload and options, without building or interpreting anything.
+ */
+TraceBundle stripSetupsFrom(const TraceBundle &full);
+
 /** Simulate a prepared bundle on one core configuration. */
 CoreStats simulate(const CoreConfig &cfg, const TraceBundle &bundle);
 

@@ -56,6 +56,13 @@ BundleCache::quarantineAfterFromEnv()
 std::shared_ptr<const TraceBundle>
 BundleCache::get(const std::string &workload, const TraceOptions &opts)
 {
+    return lookup(workload, opts, true);
+}
+
+std::shared_ptr<const TraceBundle>
+BundleCache::lookup(const std::string &workload, const TraceOptions &opts,
+                    bool countHit)
+{
     Key key{workload,     opts.params.seed, opts.params.scale,
             opts.maxDynInsts, opts.annotate,    opts.stripSetups};
     std::shared_ptr<Entry> entry;
@@ -77,10 +84,10 @@ BundleCache::get(const std::string &workload, const TraceOptions &opts)
             // A resident bundle is a hit; an entry another thread is
             // still materializing is not — this caller blocks on the
             // call_once below and shares the one build.
-            if (entry->bundle)
-                ++stats_.memHits;
-            else
+            if (!entry->bundle)
                 ++stats_.sharedBuilds;
+            else if (countHit)
+                ++stats_.memHits;
         } else {
             entry = std::make_shared<Entry>();
             entry->key = key;
@@ -117,9 +124,22 @@ BundleCache::get(const std::string &workload, const TraceOptions &opts)
                 }
             }
             NOREBA_FAULT_SITE("bundle_cache.build");
-            auto bundle = std::make_shared<TraceBundle>(
-                builder_ ? builder_(workload, opts)
-                         : prepareTrace(workload, opts));
+            std::shared_ptr<TraceBundle> bundle;
+            if (builder_) {
+                bundle = std::make_shared<TraceBundle>(
+                    builder_(workload, opts));
+            } else if (opts.stripSetups) {
+                // The setup-stripped variant is a pure function of the
+                // annotated bundle: derive it instead of building,
+                // annotating and interpreting the program again.
+                TraceOptions full = opts;
+                full.stripSetups = false;
+                bundle = std::make_shared<TraceBundle>(
+                    stripSetupsFrom(*lookup(workload, full, false)));
+            } else {
+                bundle = std::make_shared<TraceBundle>(
+                    prepareTrace(workload, opts));
+            }
             const size_t published =
                 path.empty() ? 0 : saveTraceBundle(path, *bundle);
             std::lock_guard<std::mutex> lock(mutex_);

@@ -80,7 +80,7 @@ struct BundleCacheStats
     uint64_t memHits = 0;      //!< bundle already resident in-process
     uint64_t sharedBuilds = 0; //!< joined another thread's in-flight build
     uint64_t diskHits = 0;     //!< bundle mmap'd from NOREBA_TRACE_DIR
-    uint64_t builds = 0;       //!< cold: full prepareTrace() pipeline
+    uint64_t builds = 0;       //!< cold: prepared (or stripped) here
     uint64_t bytesMapped = 0;  //!< total bytes of mmap'd bundle files
     uint64_t bytesWritten = 0; //!< bytes published to the disk store
     uint64_t evictions = 0;    //!< in-memory LRU evictions
@@ -94,7 +94,8 @@ struct BundleCacheStats
  * once per process even when many threads request it concurrently —
  * first by mmap'ing a valid store file when NOREBA_TRACE_DIR is set,
  * else by building it and publishing to the store for the next
- * process.
+ * process. A setup-stripped bundle is built from the matching
+ * unstripped one (stripSetupsFrom), fetched through the cache itself.
  *
  * get() hands out shared ownership: the bundle stays alive while any
  * caller holds the pointer, even after the LRU tier (bounded by
@@ -153,6 +154,13 @@ class BundleCache
     static int quarantineAfterFromEnv();
 
   private:
+    /** get(), counting a memory-tier hit only when @p countHit (the
+     *  lookup of the annotated bundle a stripped one derives from is
+     *  not a request of its own). */
+    std::shared_ptr<const TraceBundle> lookup(const std::string &workload,
+                                              const TraceOptions &opts,
+                                              bool countHit);
+
     struct Key
     {
         std::string workload;

@@ -16,6 +16,7 @@
 
 #include "common/fault.h"
 #include "common/fs.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "sim/store_health.h"
 
@@ -65,17 +66,6 @@ struct BundleHeader
 static_assert(sizeof(BundleHeader) % 8 == 0,
               "record section must stay 8-byte aligned");
 static_assert(std::is_trivially_copyable_v<BundleHeader>);
-
-uint64_t
-fnv1a(const void *data, size_t n, uint64_t h = 1469598103934665603ull)
-{
-    const uint8_t *p = static_cast<const uint8_t *>(data);
-    for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 size_t
 pad8(size_t n)

@@ -42,6 +42,14 @@ class CommitPolicy
         (void)inst;
     }
 
+    /** A dispatched branch resolved in writeback (before any squash it
+     *  triggers). */
+    virtual void onResolve(PipelineView &view, InFlight *inst)
+    {
+        (void)view;
+        (void)inst;
+    }
+
     /** All uncommitted instructions with idx > `after` were squashed. */
     virtual void onSquash(PipelineView &view, TraceIdx after)
     {

@@ -25,12 +25,11 @@
  */
 
 #include <algorithm>
-#include <deque>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/ring_queue.h"
+#include "common/small_map.h"
 #include "uarch/commit/commit_policy.h"
 #include "uarch/pipeline_view.h"
 
@@ -39,11 +38,15 @@ namespace noreba {
 class NorebaCommit : public CommitPolicy
 {
   public:
-    explicit NorebaCommit(const CoreConfig &cfg) : srob_(cfg.srob)
+    explicit NorebaCommit(const CoreConfig &cfg)
+        : srob_(cfg.srob),
+          cqt_(static_cast<size_t>(std::max(0, srob_.cqtEntries))),
+          citByGuard_(static_cast<size_t>(std::max(0, srob_.citEntries)))
     {
         brCqs_.resize(static_cast<size_t>(srob_.numBrCqs));
         // +1: slot 0 tracks the PR-CQ, slots 1..numBrCqs the BR-CQs.
         blocked_.resize(1 + brCqs_.size());
+        heads_.resize(1 + brCqs_.size());
     }
 
     void
@@ -76,7 +79,7 @@ class NorebaCommit : public CommitPolicy
     onSquash(PipelineView &view, TraceIdx after) override
     {
         (void)view;
-        auto purge = [after](std::deque<InFlight *> &q) {
+        auto purge = [after](RingQueue<InFlight *> &q) {
             while (!q.empty() && q.back()->idx > after)
                 q.pop_back();
         };
@@ -85,12 +88,7 @@ class NorebaCommit : public CommitPolicy
         for (auto &q : brCqs_)
             purge(q);
         // Live CQT entries of squashed branches disappear with them.
-        for (auto it = cqt_.begin(); it != cqt_.end();) {
-            if (it->first > after)
-                it = cqt_.erase(it);
-            else
-                ++it;
-        }
+        cqt_.eraseIf([after](const auto &e) { return e.key > after; });
     }
 
     const char *name() const override { return "Noreba"; }
@@ -128,7 +126,7 @@ class NorebaCommit : public CommitPolicy
         Cqt,
         CqFull,
     };
-    std::deque<InFlight *> &
+    RingQueue<InFlight *> &
     queueOf(int cq)
     {
         return cq < 0 ? prCq_ : brCqs_[static_cast<size_t>(cq)];
@@ -175,21 +173,22 @@ class NorebaCommit : public CommitPolicy
     {
         int budget = view.config().commitWidth;
         const int nq = static_cast<int>(brCqs_.size());
+        // Each queue's eligible head (or nullptr), evaluated once per
+        // cycle. A commit can change the verdict only for the queue it
+        // popped and for FENCE heads, which ripen as the cursor moves —
+        // or, when the commit was a FENCE, for every head it held back.
+        // Guard chains, completion and page-table checks do not move
+        // within the commit stage.
         std::fill(blocked_.begin(), blocked_.end(), 0);
+        for (int cq = -1; cq < nq; ++cq)
+            heads_[static_cast<size_t>(cq + 1)] = eligibleHead(view, cq);
 
         while (budget > 0) {
             InFlight *best = nullptr;
             int bestCq = -2;
             for (int cq = -1; cq < nq; ++cq) {
-                if (blocked_[static_cast<size_t>(cq + 1)])
-                    continue;
-                auto &q = queueOf(cq);
-                if (q.empty())
-                    continue;
-                InFlight *h = q.front();
-                if (!headEligible(view, h))
-                    continue;
-                if (!best || h->idx < best->idx) {
+                InFlight *h = heads_[static_cast<size_t>(cq + 1)];
+                if (h && (!best || h->idx < best->idx)) {
                     best = h;
                     bestCq = cq;
                 }
@@ -209,6 +208,7 @@ class NorebaCommit : public CommitPolicy
                 if (citLive_ >= srob_.citEntries) {
                     ++view.stats().citFullStalls;
                     blocked_[static_cast<size_t>(bestCq + 1)] = 1;
+                    heads_[static_cast<size_t>(bestCq + 1)] = nullptr;
                     continue;
                 }
                 TraceIdx guard = view.youngestUnresolvedBefore(best->idx);
@@ -225,21 +225,42 @@ class NorebaCommit : public CommitPolicy
             queueOf(bestCq).pop_front();
             ++view.stats().cqOps;
             if (best->isBranch) {
-                auto it = cqt_.find(best->idx);
-                if (it != cqt_.end()) {
-                    cqt_.erase(it);
+                if (cqt_.erase(best->idx))
                     ++view.stats().cqtOps;
-                }
-                auto git = citByGuard_.find(best->idx);
-                if (git != citByGuard_.end()) {
-                    citLive_ -= git->second;
-                    view.stats().citOps +=
-                        static_cast<uint64_t>(git->second);
-                    citByGuard_.erase(git);
+                if (int *groups = citByGuard_.find(best->idx)) {
+                    citLive_ -= *groups;
+                    view.stats().citOps += static_cast<uint64_t>(*groups);
+                    citByGuard_.erase(best->idx);
                 }
             }
             --budget;
+
+            const bool fence = best->rec->op == Opcode::FENCE;
+            if (!fence && view.oldestFence() == INT32_MAX) {
+                // No FENCE in flight: only the popped queue changed.
+                heads_[static_cast<size_t>(bestCq + 1)] =
+                    eligibleHead(view, bestCq);
+                continue;
+            }
+            for (int cq = -1; cq < nq; ++cq) {
+                const RingQueue<InFlight *> &q = queueOf(cq);
+                if (cq == bestCq || fence ||
+                    (!q.empty() && q.front()->rec->op == Opcode::FENCE))
+                    heads_[static_cast<size_t>(cq + 1)] =
+                        eligibleHead(view, cq);
+            }
         }
+    }
+
+    /** The head of queue @p cq if it may commit now, else nullptr. */
+    InFlight *
+    eligibleHead(const PipelineView &view, int cq)
+    {
+        RingQueue<InFlight *> &q = queueOf(cq);
+        if (q.empty() || blocked_[static_cast<size_t>(cq + 1)])
+            return nullptr;
+        InFlight *h = q.front();
+        return headEligible(view, h) ? h : nullptr;
     }
 
     void
@@ -262,9 +283,8 @@ class NorebaCommit : public CommitPolicy
             int targetCq = -1; // -1 encodes the PR-CQ
             if (rec.guardIdx >= 0) {
                 ++view.stats().cqtOps;
-                auto it = cqt_.find(rec.guardIdx);
-                if (it != cqt_.end())
-                    targetCq = it->second;
+                if (const int *cq = cqt_.find(rec.guardIdx))
+                    targetCq = *cq;
             }
 
             if (p->isBranch && rec.markedBranch) {
@@ -280,7 +300,7 @@ class NorebaCommit : public CommitPolicy
                     // claims a Branch Commit Queue. Ordering among
                     // instances of one static branch is enforced by
                     // the commit condition (guardChainResolved /
-                    // olderSamePcUnresolved), not by queue placement.
+                    // olderInstanceBlocker), not by queue placement.
                     targetCq = pickBrCq();
                     if (targetCq == -2) {
                         stalled = true;
@@ -354,31 +374,27 @@ class NorebaCommit : public CommitPolicy
         // Guard branches that resolved correctly and committed free
         // their groups in commitFromQueues; groups whose guard vanished
         // in a squash are reclaimed here.
-        for (auto it = citByGuard_.begin(); it != citByGuard_.end();) {
-            TraceIdx g = it->first;
-            if (!view.isCommitted(g) && view.findInFlight(g) == nullptr) {
-                citLive_ -= it->second;
-                view.stats().citOps += static_cast<uint64_t>(it->second);
-                it = citByGuard_.erase(it);
-            } else if (view.isCommitted(g)) {
-                citLive_ -= it->second;
-                view.stats().citOps += static_cast<uint64_t>(it->second);
-                it = citByGuard_.erase(it);
-            } else {
-                ++it;
-            }
-        }
+        citByGuard_.eraseIf([&](const auto &e) {
+            if (!view.isCommitted(e.key) &&
+                view.findInFlight(e.key) != nullptr)
+                return false;
+            citLive_ -= e.value;
+            view.stats().citOps += static_cast<uint64_t>(e.value);
+            return true;
+        });
     }
 
     const SelectiveRobConfig srob_;
-    std::deque<InFlight *> robPrime_;
-    std::deque<InFlight *> prCq_;
-    std::vector<std::deque<InFlight *>> brCqs_;
-    std::map<TraceIdx, int> cqt_;      //!< live branch -> commit queue
-    std::map<TraceIdx, int> citByGuard_; //!< CIT entries per guard branch
+    RingQueue<InFlight *> robPrime_;
+    RingQueue<InFlight *> prCq_;
+    std::vector<RingQueue<InFlight *>> brCqs_;
+    SmallMap<TraceIdx, int> cqt_;        //!< live branch -> commit queue
+    SmallMap<TraceIdx, int> citByGuard_; //!< CIT entries per guard branch
     int citLive_ = 0;
     /** Per-cycle CIT-stall block flags, [0] = PR-CQ, [1+i] = BR-CQ i. */
     std::vector<char> blocked_;
+    /** Per-cycle eligible queue heads, indexed like blocked_. */
+    std::vector<InFlight *> heads_;
     /** What (if anything) blocked the steer stage this cycle. */
     SteerStall steerStall_ = SteerStall::None;
 };

@@ -14,12 +14,17 @@
  *    ROB — commit anything completed whose *compiler guard chain* has
  *    resolved, without queue or table capacity limits.
  *
- * Every policy walks the uncommitted frontier (PipelineView), which is
+ * The others walk the uncommitted frontier (PipelineView), which is
  * the master ROB minus already-retired entries, in program order; a
  * commit unlinks the visited node, so loops grab the successor first.
+ * IdealReconvCommit, whose ideal window makes that walk long, visits a
+ * commit-candidate index instead (DESIGN.md §8).
  */
 
 #include "uarch/commit/commit_policy.h"
+
+#include <algorithm>
+#include <vector>
 
 #include "common/logging.h"
 #include "uarch/pipeline_view.h"
@@ -126,37 +131,182 @@ class SpeculativeCommit : public CommitPolicy
     const bool keepMemCondition_;
 };
 
-/** Compiler reconvergence information with an ideal ROB. */
+/**
+ * Trace indices as a bitset over the whole trace, with an ascending
+ * scan from any start. Sized on first use; setting, clearing and a
+ * squash's suffix clear are O(1) per index.
+ */
+class IdxBitset
+{
+  public:
+    bool sized() const { return !words_.empty(); }
+
+    void
+    resize(size_t n)
+    {
+        words_.assign((n + 63) / 64 + 1, 0);
+    }
+
+    void
+    set(TraceIdx i)
+    {
+        words_[static_cast<size_t>(i) >> 6] |= bit(i);
+        hi_ = std::max(hi_, i);
+    }
+
+    void
+    clear(TraceIdx i)
+    {
+        words_[static_cast<size_t>(i) >> 6] &= ~bit(i);
+    }
+
+    /** Clear every index above @p after. */
+    void
+    clearAfter(TraceIdx after)
+    {
+        for (TraceIdx i = hi_; i > after; --i)
+            clear(i);
+        hi_ = std::min(hi_, after);
+    }
+
+    /** Smallest set index >= @p from, or -1. */
+    TraceIdx
+    next(TraceIdx from) const
+    {
+        if (from > hi_)
+            return -1;
+        size_t w = static_cast<size_t>(from) >> 6;
+        uint64_t word = words_[w] & (~0ull << (from & 63));
+        const size_t last = static_cast<size_t>(hi_) >> 6;
+        while (word == 0) {
+            if (++w > last)
+                return -1;
+            word = words_[w];
+        }
+        return static_cast<TraceIdx>(w * 64 +
+                                     static_cast<size_t>(
+                                         __builtin_ctzll(word)));
+    }
+
+  private:
+    static uint64_t bit(TraceIdx i) { return 1ull << (i & 63); }
+
+    std::vector<uint64_t> words_;
+    TraceIdx hi_ = -1; //!< no index above this one is set
+};
+
+/**
+ * Compiler reconvergence information with an ideal ROB.
+ *
+ * Commit takes the oldest eligible uncommitted instructions, in
+ * program order, up to the memory barrier and the oldest unripe FENCE.
+ * Instead of walking the whole uncommitted frontier every cycle, the
+ * policy keeps a *candidate index*: a superset of the eligible
+ * instructions, in trace order, that commit re-checks exactly. An
+ * instruction found blocked leaves the index and is put back by the
+ * one event that can unblock it — its own resolution (a branch) or the
+ * resolution of the branch its guard chain waits on
+ * (PipelineView::guardChainBlocker). A memory op still in its
+ * page-table check is never examined: it holds the memory barrier.
+ * Every blocking condition is monotone for an uncommitted instruction,
+ * so each one is re-examined once per event instead of once per cycle.
+ * FENCEs, whose eligibility moves with the commit cursor, simply stay.
+ * Under CoreConfig::shadowIndexCheck each cycle's commits are checked
+ * against the historical frontier walk.
+ */
 class IdealReconvCommit : public CommitPolicy
 {
   public:
     void
+    onDispatch(PipelineView &view, InFlight *p) override
+    {
+        if (!candidates_.sized()) {
+            candidates_.resize(view.trace().size());
+            waitHead_.assign(view.trace().size(), -1);
+        }
+        candidates_.set(p->idx);
+    }
+
+    void
+    onResolve(PipelineView &view, InFlight *p) override
+    {
+        (void)view;
+        if (!p->committed)
+            candidates_.set(p->idx);
+        // Everything parked on this branch gets another look.
+        int32_t n = waitHead_[static_cast<size_t>(p->idx)];
+        waitHead_[static_cast<size_t>(p->idx)] = -1;
+        while (n >= 0) {
+            Waiter &w = waiters_[static_cast<size_t>(n)];
+            if (w.p->gen == w.gen && !w.p->committed)
+                candidates_.set(w.p->idx);
+            int32_t nx = w.next;
+            w.next = freeWaiter_;
+            freeWaiter_ = n;
+            n = nx;
+        }
+    }
+
+    void
+    onSquash(PipelineView &view, TraceIdx after) override
+    {
+        (void)view;
+        // Waiters of squashed instructions die by their generation;
+        // a squashed branch's list is walked when its re-fetched
+        // instance resolves.
+        candidates_.clearAfter(after);
+    }
+
+    void
     commitCycle(PipelineView &view) override
     {
+        const bool shadow = view.config().shadowIndexCheck;
+        if (shadow)
+            shadowWalk(view, expected_);
+        committedNow_.clear();
+
         int budget = view.config().commitWidth;
         TraceIdx memBar = view.oldestUncheckedMem();
-        for (InFlight *p = view.uncommittedHead(); p;) {
-            InFlight *next = PipelineView::uncommittedNext(p);
-            if (budget == 0)
+        for (TraceIdx i = candidates_.next(view.oldestUncommitted());
+             i >= 0; i = candidates_.next(i + 1)) {
+            if (budget == 0 || i >= memBar)
                 break;
-            if (p->idx >= memBar)
-                break;
+            InFlight *p = view.findInFlight(i);
+            panic_if(!p || p->committed,
+                     "commit candidate %d is not in flight", i);
             if (!view.fenceAllows(p))
                 break;
             // Same commit conditions as Noreba (C1/C3 relaxed, guards
             // from the compiler), but with ideal reordering hardware.
-            bool skip =
-                (p->isBranch && !(p->resolved && p->completed)) ||
-                (isMem(p->rec->op) && !view.tlbDone(p)) ||
-                (p->rec->op == Opcode::FENCE &&
-                 !view.commitEligibleBasic(p)) ||
-                !view.guardChainResolved(p);
-            if (!skip) {
-                view.commit(p);
-                --budget;
+            // (A memory op still in its page-table check never gets
+            // here: it is at or past the memory barrier.)
+            if (p->isBranch && !(p->resolved && p->completed)) {
+                candidates_.clear(i); // back at its resolution
+                continue;
             }
-            p = next;
+            if (p->rec->op == Opcode::FENCE &&
+                !view.commitEligibleBasic(p))
+                continue; // ripens with the cursor: stays a candidate
+            TraceIdx blocker = view.guardChainBlocker(p);
+            if (blocker != TRACE_NONE) {
+                InFlight *b = view.findInFlight(blocker);
+                if (b && !b->resolved) {
+                    candidates_.clear(i);
+                    park(p, blocker);
+                }
+                continue;
+            }
+            candidates_.clear(i);
+            view.commit(p);
+            if (shadow)
+                committedNow_.push_back(i);
+            --budget;
         }
+        panic_if(shadow && committedNow_ != expected_,
+                 "IdealReconv candidate index committed %zu "
+                 "instructions, the frontier walk %zu (cycle %llu)",
+                 committedNow_.size(), expected_.size(),
+                 static_cast<unsigned long long>(view.now()));
     }
 
     const char *name() const override { return "IdealReconv"; }
@@ -173,6 +323,86 @@ class IdealReconvCommit : public CommitPolicy
             return StallCause::HeadBranch;
         return base;
     }
+
+  private:
+    /** One instruction parked on a branch's resolution. */
+    struct Waiter
+    {
+        InFlight *p;
+        uint64_t gen;
+        int32_t next; //!< next waiter of the same branch, or -1
+    };
+
+    void
+    park(InFlight *p, TraceIdx branch)
+    {
+        int32_t n = freeWaiter_;
+        if (n >= 0) {
+            freeWaiter_ = waiters_[static_cast<size_t>(n)].next;
+        } else {
+            n = static_cast<int32_t>(waiters_.size());
+            waiters_.push_back({});
+        }
+        int32_t &head = waitHead_[static_cast<size_t>(branch)];
+        waiters_[static_cast<size_t>(n)] = Waiter{p, p->gen, head};
+        head = n;
+    }
+
+    /**
+     * The historical per-cycle frontier walk, as a dry run: the trace
+     * indices it would commit this cycle, oldest first. Committing a
+     * FENCE moves the fence barrier and may move the cursor, which the
+     * walk tracks itself.
+     */
+    static void
+    shadowWalk(const PipelineView &view, std::vector<TraceIdx> &out)
+    {
+        out.clear();
+        int budget = view.config().commitWidth;
+        TraceIdx memBar = view.oldestUncheckedMem();
+        TraceIdx fence = view.oldestFence();
+        TraceIdx cursor = view.oldestUncommitted();
+        for (InFlight *p = view.uncommittedHead(); p;
+             p = PipelineView::uncommittedNext(p)) {
+            if (budget == 0 || p->idx >= memBar || fence < p->idx)
+                break;
+            const bool isFence = p->rec->op == Opcode::FENCE;
+            bool skip = (p->isBranch && !(p->resolved && p->completed)) ||
+                        (isMem(p->rec->op) && !view.tlbDone(p)) ||
+                        (isFence && !(p->completed && p->idx == cursor)) ||
+                        !view.guardChainResolved(p);
+            if (skip)
+                continue;
+            out.push_back(p->idx);
+            --budget;
+            if (isFence) {
+                fence = INT32_MAX;
+                for (InFlight *q = PipelineView::uncommittedNext(p); q;
+                     q = PipelineView::uncommittedNext(q)) {
+                    if (q->rec->op == Opcode::FENCE) {
+                        fence = q->idx;
+                        break;
+                    }
+                }
+            }
+            if (p->idx == cursor) {
+                cursor = p->idx + 1;
+                while (cursor < static_cast<TraceIdx>(view.trace().size()) &&
+                       view.isCommitted(cursor))
+                    ++cursor;
+            }
+        }
+    }
+
+    IdxBitset candidates_;
+    /** Trace idx of a branch -> first waiter parked on it, or -1. */
+    std::vector<int32_t> waitHead_;
+    std::vector<Waiter> waiters_; //!< pooled nodes of the wait lists
+    int32_t freeWaiter_ = -1;
+    /** @name Shadow check scratch @{ */
+    std::vector<TraceIdx> expected_;
+    std::vector<TraceIdx> committedNow_;
+    /** @} */
 };
 
 /**

@@ -46,11 +46,31 @@ constexpr int SQ_CHUNK_SHIFT = 6;
 void
 insertBySeq(std::vector<InFlight *> &v, InFlight *p)
 {
+    if (v.empty() || v.back()->seq < p->seq) {
+        v.push_back(p); // the common case: younger than everything queued
+        return;
+    }
     auto it = std::lower_bound(v.begin(), v.end(), p,
                                [](const InFlight *a, const InFlight *b) {
                                    return a->seq < b->seq;
                                });
     v.insert(it, p);
+}
+
+/**
+ * Completion-wheel horizon: the longest latency issue can schedule —
+ * a load that misses the TLB and every cache level, or the slowest
+ * functional unit. Anything longer still works (overflow heap).
+ */
+Cycle
+completionHorizon(const CoreConfig &cfg)
+{
+    int worst = cfg.tlbMissPenalty +
+                std::max({2, cfg.l1d.latency, cfg.l2.latency,
+                          cfg.l3.latency + cfg.dramLatency});
+    for (int op = 0; op < static_cast<int>(Opcode::NUM_OPCODES); ++op)
+        worst = std::max(worst, execLatency(static_cast<Opcode>(op)));
+    return static_cast<Cycle>(worst) + 1;
 }
 
 } // namespace
@@ -75,8 +95,10 @@ Core::Core(const CoreConfig &cfg, TraceView trace,
     : cfg_(cfg), trace_(std::move(trace)), misp_(misp),
       policy_(makeCommitPolicy(cfg)), mem_(cfg),
       tlb_(cfg.tlbEntries, cfg.tlbMissPenalty),
+      events_(completionHorizon(cfg)),
       divFreeAt_(static_cast<size_t>(std::max(0, cfg.numIntDiv)), 0),
       fdivFreeAt_(static_cast<size_t>(std::max(0, cfg.numFpDiv)), 0),
+      sqIndex_(2 * static_cast<size_t>(std::max(0, cfg.sqEntries))),
       committed_(trace_.size(), 0), index_(trace_.size())
 {
     panic_if(misp.size() != trace_.size(),
@@ -121,18 +143,20 @@ Core::alloc()
         p = freeList_.back();
         freeList_.pop_back();
     } else {
-        storage_.emplace_back();
-        p = &storage_.back();
+        constexpr size_t CHUNK = 256;
+        if (chunks_.empty() || chunkUsed_ == CHUNK) {
+            chunks_.push_back(std::make_unique<InFlight[]>(CHUNK));
+            chunkUsed_ = 0;
+        }
+        p = &chunks_.back()[chunkUsed_++];
     }
-    uint64_t gen = p->gen;
-    // Keep the waiter vector's capacity across recycles: the slot is
-    // reset field-by-value, but re-heating the allocation every time
-    // would put malloc on the dispatch path.
-    std::vector<InFlight::Waiter> waiters = std::move(p->waiters);
-    waiters.clear();
-    *p = InFlight{};
-    p->gen = gen + 1;
-    p->waiters = std::move(waiters);
+    // Reset only the per-incarnation state, copied from one pristine
+    // instance; the waiter vector keeps its capacity (re-heating it
+    // would put malloc on the dispatch path).
+    static const InFlightState pristine{};
+    static_cast<InFlightState &>(*p) = pristine;
+    ++p->gen;
+    p->waiters.clear();
     return p;
 }
 
@@ -198,7 +222,10 @@ Core::commit(InFlight *p)
         // Retire the store into the memory system.
         mem_.access(rec.addrOrImm, true);
         ++stats_.dcacheAccesses;
-        auto it = std::find(sq_.begin(), sq_.end(), p);
+        // Usually the oldest store; out-of-order commit may pick any.
+        auto it = !sq_.empty() && sq_.front() == p
+                      ? sq_.begin()
+                      : std::find(sq_.begin(), sq_.end(), p);
         if (it != sq_.end()) {
             sq_.erase(it);
             sqIndexErase(p);
@@ -254,11 +281,7 @@ Core::squashAfter(InFlight *b)
                 StallCause::None);
 
     // Front end restarts on the correct path after the redirect.
-    for (InFlight *p : ifq_)
-        free(p);
     ifq_.clear();
-    for (InFlight *p : decodedQ_)
-        free(p);
     decodedQ_.clear();
     fetchIdx_ = b->idx + 1;
     fetchResumeAt_ = std::max(fetchResumeAt_,
@@ -340,11 +363,10 @@ Core::squashAfter(InFlight *b)
 void
 Core::writebackStage()
 {
-    while (!events_.empty() && events_.top().cycle <= cycle_) {
-        Event e = events_.top();
-        events_.pop();
-        InFlight *p = e.p;
-        if (p->gen != e.gen)
+    CompletionWheel<Completion>::Event e;
+    while (events_.popDue(cycle_, e)) {
+        InFlight *p = e.payload.p;
+        if (p->gen != e.payload.gen)
             continue; // squashed and recycled
         p->completed = true;
         ++stats_.cdbBroadcasts;
@@ -358,6 +380,7 @@ Core::writebackStage()
             // the oracle's freebie).
             p->resolved = true;
             index_.onResolve(p);
+            policy_->onResolve(view_, p);
             ++stats_.branches;
             if (p->mispredicted) {
                 ++stats_.mispredicts;
@@ -508,10 +531,10 @@ Core::loadLatency(InFlight *p, bool &blocked)
         const uint64_t chunkLo = lo >> SQ_CHUNK_SHIFT;
         const uint64_t chunkHi = (lo + rec.memSize - 1) >> SQ_CHUNK_SHIFT;
         for (uint64_t c = chunkLo; c <= chunkHi && !blocked; ++c) {
-            auto it = sqIndex_.find(c);
-            if (it == sqIndex_.end())
+            const SqChunkIndex::Bucket *bucket = sqIndex_.find(c);
+            if (!bucket)
                 continue;
-            for (InFlight *s : it->second) {
+            for (InFlight *s : *bucket) {
                 ++stats_.sqProbes;
                 if (s->idx >= p->idx || !memOverlap(*s->rec, rec))
                     continue;
@@ -570,8 +593,10 @@ Core::wakeWaiters(InFlight *p)
         if (--c->pendingSrcs == 0)
             readyInsert(c);
         // Store address generation waits only for the address operand,
-        // not the data — kick the TLB check as soon as it arrives.
-        if (!c->inAddrPending && !c->tlbChecked &&
+        // not the data — kick the TLB check as soon as it arrives. (A
+        // store with no address register was queued at dispatch; only
+        // consumers that have one can still need the kick.)
+        if (c->addrSrc >= 0 && !c->inAddrPending && !c->tlbChecked &&
             isStore(c->rec->op) && c->addrReady())
             addrPendingInsert(c);
     }
@@ -604,7 +629,7 @@ Core::sqIndexInsert(InFlight *p)
     const uint64_t chunkHi =
         (rec.addrOrImm + rec.memSize - 1) >> SQ_CHUNK_SHIFT;
     for (uint64_t c = chunkLo; c <= chunkHi; ++c)
-        sqIndex_[c].push_back(p);
+        sqIndex_.insert(c, p);
 }
 
 void
@@ -616,21 +641,8 @@ Core::sqIndexErase(InFlight *p)
     const uint64_t chunkLo = rec.addrOrImm >> SQ_CHUNK_SHIFT;
     const uint64_t chunkHi =
         (rec.addrOrImm + rec.memSize - 1) >> SQ_CHUNK_SHIFT;
-    for (uint64_t c = chunkLo; c <= chunkHi; ++c) {
-        auto it = sqIndex_.find(c);
-        panic_if(it == sqIndex_.end(),
-                 "SQ index lost the bucket for trace idx %d", p->idx);
-        std::vector<InFlight *> &bucket = it->second;
-        auto e = std::find(bucket.begin(), bucket.end(), p);
-        panic_if(e == bucket.end(),
-                 "SQ index lost the entry for trace idx %d", p->idx);
-        // The forwarding probe is order-independent, so swap-and-pop
-        // (still deterministic) beats an order-preserving erase.
-        *e = bucket.back();
-        bucket.pop_back();
-        if (bucket.empty())
-            sqIndex_.erase(it);
-    }
+    for (uint64_t c = chunkLo; c <= chunkHi; ++c)
+        sqIndex_.erase(c, p);
 }
 
 void
@@ -688,23 +700,27 @@ Core::shadowSchedulerVerify() const
     // The SQ address index must cover sq_ exactly: every in-flight
     // store in every chunk its byte range touches, and nothing else.
     size_t indexed = 0;
-    for (const auto &kv : sqIndex_) {
-        panic_if(kv.second.empty(),
+    sqIndex_.forEach([&](uint64_t chunk,
+                         const SqChunkIndex::Bucket &bucket) {
+        panic_if(bucket.empty(),
                  "shadow scheduler: empty SQ-index bucket survived");
-        for (InFlight *s : kv.second) {
+        panic_if(sqIndex_.find(chunk) != &bucket,
+                 "shadow scheduler: SQ-index chunk %llu unreachable",
+                 static_cast<unsigned long long>(chunk));
+        for (InFlight *s : bucket) {
             ++indexed;
             const TraceRecord &rec = *s->rec;
             panic_if(std::find(sq_.begin(), sq_.end(), s) == sq_.end(),
                      "shadow scheduler: SQ index holds trace idx %d "
                      "which is not in the SQ", s->idx);
             panic_if(rec.memSize == 0 ||
-                         kv.first < (rec.addrOrImm >> SQ_CHUNK_SHIFT) ||
-                         kv.first > ((rec.addrOrImm + rec.memSize - 1) >>
-                                     SQ_CHUNK_SHIFT),
+                         chunk < (rec.addrOrImm >> SQ_CHUNK_SHIFT) ||
+                         chunk > ((rec.addrOrImm + rec.memSize - 1) >>
+                                  SQ_CHUNK_SHIFT),
                      "shadow scheduler: trace idx %d indexed under a "
                      "chunk outside its byte range", s->idx);
         }
-    }
+    });
     size_t expected = 0;
     for (InFlight *s : sq_) {
         const TraceRecord &rec = *s->rec;
@@ -818,9 +834,8 @@ Core::issueStage()
                     }
                     stats_.rfReads +=
                         static_cast<uint64_t>(p->numSrcs);
-                    events_.push(Event{cycle_ +
-                                           static_cast<Cycle>(latency),
-                                       p->seq, p, p->gen});
+                    events_.push(cycle_ + static_cast<Cycle>(latency),
+                                 p->seq, Completion{p, p->gen});
                     --budget;
                     keep = false;
                 }
@@ -842,12 +857,9 @@ Core::dispatchStage()
     int budget = cfg_.dispatchWidth;
     bool chargedWindowStall = false;
     while (budget > 0 && !decodedQ_.empty()) {
-        InFlight *p = decodedQ_.front();
-        if (p->decodeReadyAt > cycle_)
+        const FrontEntry front = decodedQ_.front();
+        if (front.readyAt > cycle_)
             break;
-        const TraceRecord &rec = *p->rec;
-        FuClass cls = fuClass(rec.op);
-
         if (!policy_->windowHasSpace(view_)) {
             if (!chargedWindowStall) {
                 ++stats_.windowFullCycles;
@@ -855,6 +867,8 @@ Core::dispatchStage()
             }
             break;
         }
+        const TraceRecord &rec = trace_[static_cast<size_t>(front.idx)];
+        FuClass cls = fuClass(rec.op);
         if (cls != FuClass::None && iqUsed_ >= cfg_.iqEntries)
             break;
         if (isLoad(rec.op) && lqUsed_ >= cfg_.lqEntries)
@@ -865,6 +879,10 @@ Core::dispatchStage()
             break;
 
         decodedQ_.pop_front();
+        InFlight *p = alloc();
+        p->idx = front.idx;
+        p->rec = &rec;
+        p->mispredicted = misp_[static_cast<size_t>(front.idx)] != 0;
         p->dispatched = true;
         p->seq = nextSeq_++;
         p->isBranch = rec.isBranchSite();
@@ -934,12 +952,13 @@ Core::decodeStage()
         static_cast<size_t>(4 * cfg_.dispatchWidth);
     while (budget > 0 && !ifq_.empty() &&
            decodedQ_.size() < decodedCap) {
-        InFlight *p = ifq_.front();
-        if (p->fetchAt + static_cast<Cycle>(cfg_.fetchToDecode) > cycle_)
+        const FrontEntry fetched = ifq_.front();
+        if (fetched.readyAt > cycle_)
             break;
         ifq_.pop_front();
         --budget;
-        const TraceRecord &rec = *p->rec;
+        const size_t idx = static_cast<size_t>(fetched.idx);
+        const TraceRecord &rec = trace_[idx];
         if (rec.isSetup()) {
             // Setup instructions program the BIT/DCT and are dropped
             // (Section 4.1): they consumed a fetch slot only.
@@ -947,22 +966,20 @@ Core::decodeStage()
                 ++stats_.bitOps;
             else
                 ++stats_.dctOps;
-            committed_[static_cast<size_t>(p->idx)] = 1;
-            free(p);
+            committed_[idx] = 1;
             continue;
         }
         ++stats_.dctOps; // every instruction checks the DCT counter
-        if (committed_[static_cast<size_t>(p->idx)]) {
+        if (committed_[idx]) {
             // Re-fetch of an instruction that already committed
             // out-of-order: CIT hit, dropped at decode (Section 4.3).
             ++stats_.citDrops;
             ++stats_.citOps;
-            free(p);
             continue;
         }
-        p->decodeReadyAt = cycle_ + static_cast<Cycle>(
-                                        cfg_.decodeToDispatch);
-        decodedQ_.push_back(p);
+        decodedQ_.push_back(FrontEntry{
+            fetched.idx,
+            cycle_ + static_cast<Cycle>(cfg_.decodeToDispatch)});
     }
 }
 
@@ -995,13 +1012,9 @@ Core::fetchStage()
                 break;
             }
         }
-        InFlight *p = alloc();
-        p->idx = fetchIdx_;
-        p->rec = &rec;
-        p->fetchAt = cycle_;
-        p->mispredicted = misp_[static_cast<size_t>(fetchIdx_)] != 0;
-        ifq_.push_back(p);
-        NOREBA_EMIT(TraceEventType::Fetch, p->idx, rec.pc,
+        ifq_.push_back(FrontEntry{
+            fetchIdx_, cycle_ + static_cast<Cycle>(cfg_.fetchToDecode)});
+        NOREBA_EMIT(TraceEventType::Fetch, fetchIdx_, rec.pc,
                     StallCause::None);
         ++stats_.fetched;
         if (rec.isSetup())

@@ -37,22 +37,22 @@
 #ifndef NOREBA_UARCH_CORE_H
 #define NOREBA_UARCH_CORE_H
 
-#include <deque>
 #include <functional>
 #include <memory>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
+#include "common/ring_queue.h"
 #include "trace/event_log.h"
 #include "uarch/branch_predictor.h"
 #include "uarch/cache.h"
 #include "uarch/commit/commit_policy.h"
+#include "uarch/completion_wheel.h"
 #include "uarch/config.h"
 #include "uarch/inflight.h"
 #include "uarch/pipeline_index.h"
 #include "uarch/pipeline_view.h"
 #include "uarch/prefetcher.h"
+#include "uarch/sq_chunk_index.h"
 #include "uarch/stats.h"
 
 namespace noreba {
@@ -166,7 +166,10 @@ class Core
     Tlb tlb_;
 
     /** @name Object pool @{ */
-    std::deque<InFlight> storage_;
+    /** Slots come in contiguous chunks (never moved or freed before
+     *  the core), so live instructions sit close together. */
+    std::vector<std::unique_ptr<InFlight[]>> chunks_;
+    size_t chunkUsed_ = 0; //!< slots handed out of chunks_.back()
     std::vector<InFlight *> freeList_;
     /** @} */
 
@@ -174,16 +177,23 @@ class Core
     TraceIdx fetchIdx_ = 0;
     Cycle fetchResumeAt_ = 0;
     uint64_t lastFetchLine_ = ~0ull;
-    std::deque<InFlight *> ifq_;
-    std::deque<InFlight *> decodedQ_;
+    /** A fetched record on its way to dispatch; it takes a pool slot
+     *  only when it enters the window. */
+    struct FrontEntry
+    {
+        TraceIdx idx;
+        Cycle readyAt; //!< cycle it may leave this queue
+    };
+    RingQueue<FrontEntry> ifq_;
+    RingQueue<FrontEntry> decodedQ_;
     /** @} */
 
     /** @name Window @{ */
-    std::deque<InFlight *> rob_; //!< master order; may hold committed
+    RingQueue<InFlight *> rob_; //!< master order; may hold committed
     /** Issue-queue residents, UNORDERED (O(1) swap-pop removal via
      *  InFlight::iqPos); age order lives in readyQ_. */
     std::vector<InFlight *> iq_;
-    std::deque<InFlight *> sq_; //!< in-flight stores (forwarding)
+    RingQueue<InFlight *> sq_; //!< in-flight stores (forwarding)
     int windowUsed_ = 0;
     int iqUsed_ = 0;
     int lqUsed_ = 0;
@@ -194,19 +204,14 @@ class Core
     /** @} */
 
     /** @name Execution @{ */
-    struct Event
+    /** A scheduled completion; stale once the slot's gen moved on. */
+    struct Completion
     {
-        Cycle cycle;
-        uint64_t seq;
         InFlight *p;
         uint64_t gen;
-        bool operator>(const Event &o) const
-        {
-            return cycle != o.cycle ? cycle > o.cycle : seq > o.seq;
-        }
     };
-    std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
-        events_;
+    /** Completion events, drained in (cycle, seq) order at writeback. */
+    CompletionWheel<Completion> events_;
     /** Per-cycle FU accounting: counts used this cycle per class. */
     int fuUsed_[static_cast<int>(FuClass::NUM_CLASSES)] = {};
     /** Unpipelined dividers: one busy-until timestamp per unit. */
@@ -231,7 +236,7 @@ class Core
      * that can possibly overlap it instead of walking the whole SQ.
      * Mirrors sq_ exactly: insert at dispatch, erase at commit/squash.
      */
-    std::unordered_map<uint64_t, std::vector<InFlight *>> sqIndex_;
+    SqChunkIndex sqIndex_;
     /** @} */
 
     /** @name Commit tracking @{ */

@@ -8,6 +8,7 @@
 #define NOREBA_UARCH_INFLIGHT_H
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "interp/trace.h"
@@ -16,25 +17,25 @@ namespace noreba {
 
 using Cycle = uint64_t;
 
-/** One in-flight instruction (from fetch until commit + completion). */
-struct InFlight
-{
-    /** Validity generation: bumped when the pool slot is recycled. */
-    uint64_t gen = 0;
+struct InFlight;
 
+/**
+ * The per-incarnation part of an in-flight instruction: everything a
+ * recycled pool slot must start from scratch with. Trivially copyable,
+ * so Core::alloc resets it with one block copy.
+ */
+struct InFlightState
+{
     TraceIdx idx = TRACE_NONE;
     const TraceRecord *rec = nullptr;
     uint64_t seq = 0; //!< unique dispatch order id (refetches get new)
 
     /** @name Stage progress @{ */
-    Cycle fetchAt = 0;
-    Cycle decodeReadyAt = 0;
     bool dispatched = false;
     bool inIq = false;
     bool issued = false;
     bool completed = false;
     bool committed = false;
-    Cycle completeAt = 0;
     /** @} */
 
     /** @name Memory state @{ */
@@ -42,12 +43,6 @@ struct InFlight
     Cycle tlbDoneAt = 0;
     int addrSrc = -1; //!< index into srcs[] of the address operand
     /** @} */
-
-    bool
-    addrReady() const
-    {
-        return addrSrc < 0 || srcs[addrSrc].ready();
-    }
 
     /** @name Branch state @{ */
     bool isBranch = false;
@@ -61,11 +56,7 @@ struct InFlight
         InFlight *p = nullptr;
         uint64_t gen = 0;
 
-        bool
-        ready() const
-        {
-            return p == nullptr || p->gen != gen || p->completed;
-        }
+        inline bool ready() const;
     };
 
     SrcRef srcs[3];
@@ -74,34 +65,22 @@ struct InFlight
     /** @name Commit-policy scratch @{ */
     int cq = -1;          //!< Noreba: commit queue id (-1 = not steered)
     bool steered = false; //!< Noreba: left the ROB'
-    bool guardOk = false; //!< per-cycle memo for chain checks
-    Cycle guardOkCycle = 0;
     /** @} */
 
-    /** @name PipelineIndex bookkeeping (Core-internal) @{ */
-    InFlight *frontPrev = nullptr; //!< uncommitted-frontier links
-    InFlight *frontNext = nullptr;
-    bool inFrontier = false;
-    bool inRob = false; //!< currently in the master ROB deque
-    /** @} */
+    bool inRob = false; //!< currently in the master ROB (Core-internal)
 
     /** @name Wakeup-scheduler bookkeeping (Core-internal) @{ */
-
-    /** A consumer parked on this producer until it writes back. */
-    struct Waiter
-    {
-        InFlight *p = nullptr;
-        uint64_t gen = 0; //!< consumer incarnation (stale after squash)
-    };
-
-    /** Consumers to wake when this instruction completes. The pool
-     *  preserves the vector's capacity across recycles (Core::alloc). */
-    std::vector<Waiter> waiters;
     int pendingSrcs = 0;   //!< not-yet-ready sources; 0 == issuable
     int iqPos = -1;        //!< slot in the (unordered) IQ vector
     bool inReadyQ = false; //!< member of the age-ordered ready queue
     bool inAddrPending = false; //!< store awaiting its addr-gen TLB kick
     /** @} */
+
+    bool
+    addrReady() const
+    {
+        return addrSrc < 0 || srcs[addrSrc].ready();
+    }
 
     bool
     srcsReady() const
@@ -112,6 +91,43 @@ struct InFlight
         return true;
     }
 };
+
+/**
+ * One in-flight instruction (from dispatch until commit + completion): the
+ * per-incarnation state plus what outlives a recycle — the validity
+ * generation, the frontier links (always unlinked before a slot is
+ * freed) and the waiter list's capacity.
+ */
+struct InFlight : InFlightState
+{
+    /** Validity generation: bumped when the pool slot is recycled. */
+    uint64_t gen = 0;
+
+    /** @name PipelineIndex bookkeeping (Core-internal) @{ */
+    InFlight *frontPrev = nullptr; //!< uncommitted-frontier links
+    InFlight *frontNext = nullptr;
+    bool inFrontier = false;
+    /** @} */
+
+    /** A consumer parked on this producer until it writes back. */
+    struct Waiter
+    {
+        InFlight *p = nullptr;
+        uint64_t gen = 0; //!< consumer incarnation (stale after squash)
+    };
+
+    /** Consumers to wake when this instruction completes (cleared, not
+     *  freed, when the slot is recycled). */
+    std::vector<Waiter> waiters;
+};
+
+static_assert(std::is_trivially_copyable_v<InFlightState>);
+
+inline bool
+InFlightState::SrcRef::ready() const
+{
+    return p == nullptr || p->gen != gen || p->completed;
+}
 
 } // namespace noreba
 

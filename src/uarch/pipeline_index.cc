@@ -1,5 +1,7 @@
 #include "uarch/pipeline_index.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace noreba {
@@ -18,6 +20,41 @@ liveIndices(const AscendingIndex<V> &index)
 
 } // namespace
 
+int32_t
+PipelineIndex::siteOfDispatched(const InFlight *p)
+{
+    int32_t &site = siteOf_[static_cast<size_t>(p->idx)];
+    if (site >= 0)
+        return site;
+    // First dispatch of this record: look its PC up in a small
+    // open-addressing table (PC -> site id) that doubles as it fills.
+    const uint64_t pc = p->rec->pc;
+    if (2 * (sitePc_.size() + 1) > siteSlots_.size()) {
+        siteSlots_.assign(std::max<size_t>(64, 2 * siteSlots_.size()), -1);
+        for (size_t s = 0; s < sitePc_.size(); ++s)
+            siteSlots_[siteSlot(sitePc_[s])] = static_cast<int32_t>(s);
+    }
+    int32_t &slot = siteSlots_[siteSlot(pc)];
+    if (slot < 0) {
+        slot = static_cast<int32_t>(sitePc_.size());
+        sitePc_.push_back(pc);
+        unresolvedBySite_.emplace_back();
+    }
+    site = slot;
+    return site;
+}
+
+size_t
+PipelineIndex::siteSlot(uint64_t pc) const
+{
+    const size_t mask = siteSlots_.size() - 1;
+    size_t i = static_cast<size_t>((pc * 0x9e3779b97f4a7c15ull) >> 40) & mask;
+    while (siteSlots_[i] >= 0 &&
+           sitePc_[static_cast<size_t>(siteSlots_[i])] != pc)
+        i = (i + 1) & mask;
+    return i;
+}
+
 void
 PipelineIndex::onDispatch(InFlight *p)
 {
@@ -27,7 +64,8 @@ PipelineIndex::onDispatch(InFlight *p)
     if (p->isBranch) {
         unresolved_.push(p->idx, rec.pc);
         unresolvedUncommitted_.push(p->idx, {});
-        unresolvedByPc_[rec.pc].push(p->idx, {});
+        unresolvedBySite_[static_cast<size_t>(siteOfDispatched(p))].push(
+            p->idx, {});
     }
     if (isMem(rec.op))
         uncheckedMem_.push(p->idx, {});
@@ -41,7 +79,7 @@ PipelineIndex::onResolve(InFlight *p)
     const auto *e = unresolved_.find(p->idx);
     if (!e)
         return;
-    unresolvedByPc_[e->value].erase(p->idx);
+    unresolvedBySite_[siteIndex(p->idx)].erase(p->idx);
     unresolvedUncommitted_.erase(p->idx);
     unresolved_.erase(p->idx);
 }
@@ -93,7 +131,7 @@ PipelineIndex::onSquash(TraceIdx after)
     // Every ordered index rolls back by suffix: the squashed entries
     // are exactly the ones younger than `after`.
     unresolved_.truncateAfter(after, [&](const auto &e) {
-        unresolvedByPc_[e.value].truncateAfter(after);
+        unresolvedBySite_[siteIndex(e.idx)].truncateAfter(after);
     });
     unresolvedUncommitted_.truncateAfter(after);
     uncheckedMem_.truncateAfter(after);
@@ -116,7 +154,7 @@ PipelineIndex::onFree(InFlight *p)
 }
 
 void
-PipelineIndex::shadowVerify(const std::deque<InFlight *> &rob, Cycle now,
+PipelineIndex::shadowVerify(const RingQueue<InFlight *> &rob, Cycle now,
                             const TraceView &trace)
 {
     // Frontier == the uncommitted subsequence of the master ROB.
@@ -188,23 +226,25 @@ PipelineIndex::shadowVerify(const std::deque<InFlight *> &rob, Cycle now,
              "barrier index has stale branches (%zu vs %zu)",
              unresolvedUncommitted_.size(), naiveUnresolved);
 
-    // Per-PC instance index is an exact partition of unresolved_.
-    size_t byPcTotal = 0;
-    for (const auto &[pc, bucket] : unresolvedByPc_) {
-        byPcTotal += bucket.size();
-        bucket.forEach([&, pc = pc](const auto &e) {
+    // Per-site instance index is an exact partition of unresolved_.
+    size_t bySiteTotal = 0;
+    for (size_t site = 0; site < unresolvedBySite_.size(); ++site) {
+        const uint64_t pc = sitePc_[site];
+        const IdxSet &bucket = unresolvedBySite_[site];
+        bySiteTotal += bucket.size();
+        bucket.forEach([&](const auto &e) {
             const auto *u = unresolved_.find(e.idx);
             panic_if(!u || u->value != pc,
-                     "per-PC bucket %llx holds idx %d not unresolved "
+                     "per-site bucket %llx holds idx %d not unresolved "
                      "at that site",
                      static_cast<unsigned long long>(pc), e.idx);
             panic_if(trace[static_cast<size_t>(e.idx)].pc != pc,
-                     "per-PC bucket key %llx mismatches trace pc",
+                     "per-site bucket %llx mismatches trace pc",
                      static_cast<unsigned long long>(pc));
         });
     }
-    panic_if(byPcTotal != unresolved_.size(),
-             "per-PC partition lost entries (%zu vs %zu)", byPcTotal,
+    panic_if(bySiteTotal != unresolved_.size(),
+             "per-site partition lost entries (%zu vs %zu)", bySiteTotal,
              unresolved_.size());
 }
 

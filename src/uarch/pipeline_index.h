@@ -27,14 +27,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <queue>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/intrusive_list.h"
 #include "common/logging.h"
+#include "common/ring_queue.h"
 #include "interp/trace.h"
 #include "uarch/inflight.h"
 
@@ -197,9 +196,9 @@ class PipelineIndex
 {
   public:
     /** @param traceLen records in the trace the core replays (sizes
-     *                  the dense in-flight table once) */
+     *                  the dense per-record tables once) */
     explicit PipelineIndex(size_t traceLen)
-        : inflightByIdx_(traceLen, nullptr)
+        : siteOf_(traceLen, -1), inflightByIdx_(traceLen, nullptr)
     {
     }
 
@@ -275,13 +274,19 @@ class PipelineIndex
         return unresolved_.youngestBefore(idx);
     }
 
-    /** An unresolved instance of static site `pc` older than `before`. */
-    bool
-    olderSitePcUnresolved(uint64_t pc, TraceIdx before) const
+    /**
+     * Oldest unresolved instance of the static branch site of trace
+     * record `idx`, or INT32_MAX (also when `idx` is no branch site).
+     * Every branch older than a dispatched instruction has dispatched,
+     * so its site is numbered by the time a guard chain asks.
+     */
+    TraceIdx
+    oldestUnresolvedAtSiteOf(TraceIdx idx) const
     {
-        auto it = unresolvedByPc_.find(pc);
-        return it != unresolvedByPc_.end() &&
-               it->second.oldest(INT32_MAX) < before;
+        int32_t site = siteOf_[static_cast<size_t>(idx)];
+        return site < 0 ? INT32_MAX
+                        : unresolvedBySite_[static_cast<size_t>(site)]
+                              .oldest(INT32_MAX);
     }
 
     /** Oldest dispatched-but-uncommitted FENCE, or INT32_MAX. */
@@ -312,11 +317,28 @@ class PipelineIndex
      * cycle by CoreConfig::shadowIndexCheck; this is the oracle the
      * pipeline_index differential test drives.
      */
-    void shadowVerify(const std::deque<InFlight *> &rob, Cycle now,
+    void shadowVerify(const RingQueue<InFlight *> &rob, Cycle now,
                       const TraceView &trace);
 
   private:
     void drainTlbPending(Cycle now);
+
+    /** Site id of a dispatched branch, numbered on its first
+     *  dispatch. */
+    int32_t siteOfDispatched(const InFlight *p);
+    /** Slot of @p pc in siteSlots_ (its own, or the empty one where it
+     *  belongs). */
+    size_t siteSlot(uint64_t pc) const;
+
+    /** Site id of a dispatched branch (panics for any other record). */
+    size_t
+    siteIndex(TraceIdx idx) const
+    {
+        int32_t site = siteOf_[static_cast<size_t>(idx)];
+        panic_if(site < 0, "trace idx %d is not a numbered branch site",
+                 idx);
+        return static_cast<size_t>(site);
+    }
 
     using Frontier =
         IntrusiveList<InFlight, &InFlight::frontPrev,
@@ -344,9 +366,15 @@ class PipelineIndex
     AscendingIndex<uint64_t> unresolved_;
     /** The uncommitted subset of unresolved_ (commit barrier). */
     IdxSet unresolvedUncommitted_;
-    /** Static site PC -> its unresolved dynamic instances. Buckets are
-     *  kept when they empty, so a site's vector is allocated once. */
-    std::unordered_map<uint64_t, IdxSet> unresolvedByPc_;
+    /** Dense static-site id of each dispatched branch record (-1
+     *  for every other record); numbered on first dispatch. */
+    std::vector<int32_t> siteOf_;
+    /** Open-addressing PC -> site id table (-1 = empty slot). */
+    std::vector<int32_t> siteSlots_;
+    /** Static site id -> its PC. */
+    std::vector<uint64_t> sitePc_;
+    /** Static site id -> its unresolved dynamic instances. */
+    std::vector<IdxSet> unresolvedBySite_;
     /** Uncommitted memory ops not yet past their TLB check. */
     IdxSet uncheckedMem_;
     /** Checks in flight, keyed by completion time. */

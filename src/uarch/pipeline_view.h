@@ -88,6 +88,9 @@ class PipelineView
         return p->tlbChecked && *cycle_ >= p->tlbDoneAt;
     }
 
+    /** Oldest dispatched-but-uncommitted FENCE, or INT32_MAX. */
+    TraceIdx oldestFence() const { return index_->oldestFence(); }
+
     /** No older uncommitted FENCE blocks this instruction. */
     bool
     fenceAllows(const InFlight *p) const
@@ -113,28 +116,6 @@ class PipelineView
         if (cfg_->earlyCommitLoads && isLoad(p->rec->op) && tlbDone(p))
             return true;
         return false;
-    }
-
-    /**
-     * An older, still-unresolved dynamic instance of the same static
-     * branch exists. Dependents are marked with the *latest* instance
-     * (the BIT holds one sequence number per ID), so instances of one
-     * static branch must retire in order for that marking to be sound.
-     */
-    bool
-    olderSamePcUnresolved(const InFlight *f) const
-    {
-        return olderSitePcUnresolved(f->rec->pc, f->idx);
-    }
-
-    /** Same check by static site PC, for (possibly committed) chain
-     *  elements older than `before`. */
-    bool
-    olderSitePcUnresolved(uint64_t pc, TraceIdx before) const
-    {
-        if (!cfg_->srob.enforceInstanceOrder)
-            return false;
-        return index_->olderSitePcUnresolved(pc, before);
     }
 
     /** Find an in-flight instruction by trace index (nullptr if none). */
@@ -167,6 +148,21 @@ class PipelineView
     bool
     guardChainResolved(const InFlight *p) const
     {
+        return guardChainBlocker(p) == TRACE_NONE;
+    }
+
+    /**
+     * The unresolved branch the instruction's compiler guard chain is
+     * waiting on, or TRACE_NONE once the chain has resolved. Nothing
+     * but that branch's resolution can change the verdict, which is
+     * what lets a commit-candidate index park the instruction on it.
+     * (A squashed guard — no in-flight instance — is returned as is;
+     * it cannot occur for an uncommitted instruction, whose guards are
+     * older and so survive every squash it survives.)
+     */
+    TraceIdx
+    guardChainBlocker(const InFlight *p) const
+    {
         // Walk the dynamic guard chain. Every element must have
         // resolved. For *order-sensitive* instructions (cross-instance
         // data flows, see the compiler pass), each chain site must
@@ -176,12 +172,13 @@ class PipelineView
         // through committed elements for that purpose, and stops as
         // soon as no branch older than the element is unresolved
         // (nothing left to wait for).
-        if (cfg_->srob.enforceInstanceOrder && p->rec->orderStrict &&
-            youngestUnresolvedBefore(p->idx) != TRACE_NONE) {
+        if (cfg_->srob.enforceInstanceOrder && p->rec->orderStrict) {
             // Strict region: the marking could not express this
             // instruction's dependence, so it waits for full
             // Condition 5.
-            return false;
+            TraceIdx older = youngestUnresolvedBefore(p->idx);
+            if (older != TRACE_NONE)
+                return older;
         }
         const bool sensitive = p->rec->orderSensitive;
         TraceIdx g = p->rec->guardIdx;
@@ -189,19 +186,36 @@ class PipelineView
             TraceIdx oldest = index_->oldestUnresolved();
             if (oldest == TRACE_NONE || oldest > g)
                 break; // everything at or below g has resolved
-            const TraceRecord &rec = (*trace_)[static_cast<size_t>(g)];
-            if (sensitive && olderSitePcUnresolved(rec.pc, g))
-                return false;
+            if (sensitive) {
+                TraceIdx older = olderInstanceBlocker(g);
+                if (older != TRACE_NONE)
+                    return older;
+            }
             if (!(*committed_)[static_cast<size_t>(g)]) {
                 InFlight *f = findInFlight(g);
-                if (!f)
-                    return false; // guard squashed: treat as unresolved
-                if (!f->resolved)
-                    return false;
+                if (!f || !f->resolved)
+                    return g; // unresolved (or squashed) guard
             }
-            g = rec.guardIdx;
+            g = (*trace_)[static_cast<size_t>(g)].guardIdx;
         }
-        return true;
+        return TRACE_NONE;
+    }
+
+    /**
+     * Oldest unresolved instance of trace record `idx`'s static branch
+     * site that is older than `idx`, or TRACE_NONE (always, unless the
+     * Selective ROB enforces instance order). Dependents are marked
+     * with the *latest* instance (the BIT holds one sequence number per
+     * ID), so instances of one static branch must retire in order for
+     * that marking to be sound.
+     */
+    TraceIdx
+    olderInstanceBlocker(TraceIdx idx) const
+    {
+        if (!cfg_->srob.enforceInstanceOrder)
+            return TRACE_NONE;
+        TraceIdx oldest = index_->oldestUnresolvedAtSiteOf(idx);
+        return oldest < idx ? oldest : TRACE_NONE;
     }
 
   private:

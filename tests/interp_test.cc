@@ -70,6 +70,76 @@ TEST(Interp, DivideByZeroFollowsRiscv)
     EXPECT_EQ(i.intReg(T3), 42); // rem by zero -> dividend
 }
 
+TEST(Interp, SignedOverflowWrapsLikeRiscv)
+{
+    auto i = runStraight([](IRBuilder &b) {
+        b.li(T0, INT64_MAX)
+            .li(T1, 1)
+            .li(T2, INT64_MIN)
+            .add(S2, T0, T1)  // MAX + 1
+            .addi(S3, T0, 1)  // immediate form
+            .sub(S4, T2, T1)  // MIN - 1
+            .mul(S5, T0, T0)  // MAX * MAX
+            .mul(S6, T2, T2)  // MIN * MIN
+            .li(S7, -1)
+            .slli(S8, S7, 63) // shifting a negative value left
+            .li(S9, 3)
+            .sll(S10, T0, S9);
+    });
+    EXPECT_EQ(i.intReg(S2), INT64_MIN);
+    EXPECT_EQ(i.intReg(S3), INT64_MIN);
+    EXPECT_EQ(i.intReg(S4), INT64_MAX);
+    EXPECT_EQ(i.intReg(S5), 1);
+    EXPECT_EQ(i.intReg(S6), 0);
+    EXPECT_EQ(i.intReg(S8), INT64_MIN);
+    EXPECT_EQ(i.intReg(S10), -8);
+}
+
+TEST(Interp, MinDividedByMinusOneFollowsRiscv)
+{
+    auto i = runStraight([](IRBuilder &b) {
+        b.li(T0, INT64_MIN)
+            .li(T1, -1)
+            .div(T2, T0, T1)
+            .rem(T3, T0, T1)
+            .li(T4, 7)
+            .div(T5, T4, T1)
+            .rem(T6, T4, T1);
+    });
+    EXPECT_EQ(i.intReg(T2), INT64_MIN); // overflow: quotient = dividend
+    EXPECT_EQ(i.intReg(T3), 0);         // and remainder 0
+    EXPECT_EQ(i.intReg(T5), -7);
+    EXPECT_EQ(i.intReg(T6), 0);
+}
+
+TEST(Interp, AddressAddWrapsAround)
+{
+    // A base register near INT64_MAX plus a positive offset wraps to
+    // the bottom of the signed range; the address is the unsigned sum.
+    Program prog("wrapaddr");
+    IRBuilder b(prog);
+    int e = b.newBlock();
+    b.at(e)
+        .li(S2, INT64_MAX)
+        .li(T0, 0x5a)
+        .sd(T0, S2, 9, 1)
+        .ld(T1, S2, 9, 1)
+        .halt();
+    prog.finalize();
+    Interpreter interp(prog);
+    DynamicTrace t = interp.run();
+    const uint64_t want = static_cast<uint64_t>(INT64_MAX) + 9;
+    int memOps = 0;
+    for (const auto &rec : t.records) {
+        if (!isMem(rec.op))
+            continue;
+        ++memOps;
+        EXPECT_EQ(rec.addrOrImm, want);
+    }
+    EXPECT_EQ(memOps, 2);
+    EXPECT_EQ(interp.intReg(T1), 0x5a);
+}
+
 TEST(Interp, X0IsHardwiredZero)
 {
     auto i = runStraight([](IRBuilder &b) {

@@ -361,6 +361,32 @@ TEST(PipelineIndexShadow, WorkloadRegistryAllModes)
     }
 }
 
+TEST(PipelineIndexShadow, IdealReconvCandidateIndexOverRegistry)
+{
+    // IdealReconv commits from a candidate index instead of walking the
+    // frontier; under shadowIndexCheck every cycle's commits are
+    // compared with the walk's. Cover the registry under each window
+    // and commit-condition variant the policy is run with.
+    TraceOptions opts;
+    opts.maxDynInsts = 6000;
+    std::vector<std::pair<std::string, CoreConfig>> variants;
+    variants.emplace_back("default", skylakeConfig());
+    CoreConfig ecl = skylakeConfig();
+    ecl.earlyCommitLoads = true;
+    variants.emplace_back("ecl", ecl);
+    variants.emplace_back("tiny", tinyConfig());
+    CoreConfig unordered = skylakeConfig();
+    unordered.srob.enforceInstanceOrder = false;
+    variants.emplace_back("no-instance-order", unordered);
+    for (const std::string &name : workloadNames()) {
+        TraceBundle bundle = prepareTrace(name, opts);
+        Prepared p{std::move(bundle.trace), std::move(bundle.misp)};
+        for (const auto &[label, cfg] : variants)
+            runShadowPair(p, CommitMode::IdealReconv, cfg,
+                          name + "/" + label);
+    }
+}
+
 TEST(PipelineIndexShadow, SquashStormsAllModes)
 {
     for (uint64_t seed : {11u, 23u}) {

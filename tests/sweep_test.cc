@@ -6,6 +6,7 @@
  * stripSetupRecords guard-index remap.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
@@ -236,6 +237,90 @@ TEST(BundleCache, SameKeyReturnsSameBundleOnce)
     BundleCacheStats stats = cache.stats();
     EXPECT_EQ(stats.builds, 2u);
     EXPECT_EQ(stats.memHits, 1u);
+}
+
+/** Every record field the simulator or the store can see. */
+void
+expectSameRecords(const TraceView &a, const TraceView &b,
+                  const std::string &label)
+{
+    ASSERT_EQ(a.size(), b.size()) << label;
+    for (size_t i = 0; i < a.size(); ++i) {
+        const TraceRecord &x = a[i];
+        const TraceRecord &y = b[i];
+        ASSERT_TRUE(x.pc == y.pc && x.nextPc == y.nextPc &&
+                    x.addrOrImm == y.addrOrImm && x.op == y.op &&
+                    x.memSize == y.memSize && x.taken == y.taken &&
+                    x.markedBranch == y.markedBranch &&
+                    x.orderSensitive == y.orderSensitive &&
+                    x.orderStrict == y.orderStrict && x.rd == y.rd &&
+                    x.rs1 == y.rs1 && x.rs2 == y.rs2 && x.rs3 == y.rs3 &&
+                    x.guardIdx == y.guardIdx)
+            << label << ": record " << i << " differs";
+    }
+}
+
+TEST(BundleCache, DerivedStrippedBundlesMatchAFreshPreparation)
+{
+    // The cache derives each setup-stripped bundle from its annotated
+    // sibling instead of preparing it from scratch; the result must be
+    // exactly what prepareTrace(stripSetups=true) builds.
+    BundleCache cache;
+    TraceOptions stripped = shortTrace();
+    stripped.stripSetups = true;
+    for (const std::string &name : workloadNames()) {
+        std::shared_ptr<const TraceBundle> derived =
+            cache.get(name, stripped);
+        TraceBundle fresh = prepareTrace(name, stripped);
+        const TraceView dv = derived->view();
+        const TraceView fv = fresh.view();
+        expectSameRecords(dv, fv, name);
+        EXPECT_EQ(dv.name(), fv.name()) << name;
+        const TraceSummary &ds = dv.summary();
+        const TraceSummary &fs = fv.summary();
+        EXPECT_TRUE(ds.dynInsts == fs.dynInsts &&
+                    ds.setupInsts == fs.setupInsts &&
+                    ds.branches == fs.branches &&
+                    ds.takenBranches == fs.takenBranches &&
+                    ds.loads == fs.loads && ds.stores == fs.stores &&
+                    ds.truncated == fs.truncated)
+            << name;
+        EXPECT_EQ(derived->misp, fresh.misp) << name;
+        EXPECT_EQ(derived->checksum, fresh.checksum) << name;
+        EXPECT_EQ(derived->workload, fresh.workload) << name;
+        const PassResult &dp = derived->pass;
+        const PassResult &fp = fresh.pass;
+        EXPECT_TRUE(dp.numMarkedBranches == fp.numMarkedBranches &&
+                    dp.numRegions == fp.numRegions &&
+                    dp.numSetupInsts == fp.numSetupInsts &&
+                    dp.instsBefore == fp.instsBefore &&
+                    dp.instsAfter == fp.instsAfter &&
+                    dp.numChainMerges == fp.numChainMerges &&
+                    dp.numStrictRegions == fp.numStrictRegions &&
+                    dp.guardOfInst == fp.guardOfInst &&
+                    dp.branches.size() == fp.branches.size())
+            << name;
+        for (size_t i = 0; i < std::min(dp.branches.size(),
+                                        fp.branches.size());
+             ++i) {
+            const BranchSite &x = dp.branches[i];
+            const BranchSite &y = fp.branches[i];
+            EXPECT_TRUE(x.bb == y.bb && x.instIdx == y.instIdx &&
+                        x.globalIdx == y.globalIdx &&
+                        x.compilerId == y.compilerId &&
+                        x.reconvBlock == y.reconvBlock &&
+                        x.guard == y.guard &&
+                        x.controlBlocks == y.controlBlocks &&
+                        x.numControlDeps == y.numControlDeps &&
+                        x.numDataDeps == y.numDataDeps)
+                << name << ": branch site " << i;
+        }
+    }
+    // One preparation per workload (the annotated sibling), one
+    // derivation per stripped bundle; the sibling lookups are not hits.
+    BundleCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.builds, 2 * workloadNames().size());
+    EXPECT_EQ(stats.memHits, 0u);
 }
 
 TEST(BundleCache, ConcurrentGetBuildsOnce)
