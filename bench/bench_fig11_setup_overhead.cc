@@ -48,9 +48,8 @@ registerFig11SetupOverhead()
             const CoreStats &sPerf = r.at(name, "perfect");
             // The setup-instruction counts come from the trace itself;
             // the bundle is shared process-wide, so this re-fetch is a
-            // cache hit.
-            const TraceSummary &sum =
-                bundleFor(name)->view().summary();
+            // cache hit. Copied: the view is a temporary.
+            const TraceSummary sum = bundleFor(name)->view().summary();
             double fetchOverhead =
                 sum.dynInsts ? static_cast<double>(sum.setupInsts) /
                                    static_cast<double>(sum.dynInsts)

@@ -11,10 +11,10 @@
  *                 (malformed env knobs, bad CLI flags); exits.
  *   - SimError  — per-job / per-resource failures inside library code
  *                 that a batched caller may want to survive: a trace
- *                 build that dies, store I/O that fails, an injected
- *                 test fault. These *throw* so SweepRunner can isolate
- *                 the failing job, retry it, and record the outcome
- *                 instead of the whole sweep dying with it.
+ *                 build that dies, an injected test fault. These
+ *                 *throw* so SweepRunner can isolate the failing job,
+ *                 retry it, and record the outcome instead of the
+ *                 whole sweep dying with it.
  *
  * Every SimError carries a `site` — the failing component in the same
  * dotted naming scheme the fault-injection registry uses (e.g.
@@ -45,13 +45,6 @@ class SimError : public std::runtime_error
 
   private:
     std::string site_;
-};
-
-/** Store / cache I/O failure that survived its bounded retries. */
-class StoreError : public SimError
-{
-  public:
-    using SimError::SimError;
 };
 
 /**

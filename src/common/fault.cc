@@ -1,5 +1,6 @@
 #include "common/fault.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -94,6 +95,10 @@ FaultRegistry::arm(const std::string &plan)
                  "[xcount]", text.c_str());
         Clause clause;
         clause.site = text.substr(0, eq);
+        fatal_if(std::find(std::begin(FAULT_SITES), std::end(FAULT_SITES),
+                           clause.site) == std::end(FAULT_SITES),
+                 "NOREBA_FAULTS clause \"%s\": unknown fault site \"%s\"",
+                 text.c_str(), clause.site.c_str());
 
         std::string rest = text.substr(eq + 1);
         // Strip the optional 'x' count suffix first, then '@' trigger,

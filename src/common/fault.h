@@ -12,7 +12,8 @@
  *   clause        ::= site '=' kind ['@' trigger] ['x' (count | '*')]
  *   kind          ::= 'throw' | 'short-write' | 'eio' | 'delay'
  *
- *   site     dotted site name, e.g. trace_store.write
+ *   site     one of FAULT_SITES below, e.g. trace_store.write; any
+ *            other name is fatal, like a malformed clause
  *   trigger  1-based hit index at which the fault starts firing
  *            (default 1: the first hit)
  *   count    number of consecutive hits faulted from the trigger on
@@ -56,6 +57,24 @@
 
 namespace noreba {
 
+/**
+ * Every fault site the library declares. A NOREBA_FAULTS clause naming
+ * any other site could never fire, so arm() rejects it.
+ */
+inline constexpr const char *FAULT_SITES[] = {
+    "bundle_cache.build", //!< a trace-bundle build (sim/sweep.cc)
+    "result_cache.sim",   //!< a simulation the result cache runs
+    "sweep.job",          //!< every sweep job attempt
+    "trace_store.read",   //!< trace-bundle store I/O (sim/blob_store.h)
+    "trace_store.write",
+    "trace_store.fsync",
+    "trace_store.rename",
+    "result_store.read",  //!< result store I/O (sim/blob_store.h)
+    "result_store.write",
+    "result_store.fsync",
+    "result_store.rename",
+};
+
 enum class FaultKind { Throw, ShortWrite, Eio, Delay };
 
 /** What an armed site should do for the current hit. */
@@ -72,15 +91,16 @@ class FaultRegistry
   public:
     /**
      * The process-wide registry. The first access parses NOREBA_FAULTS
-     * (when set); a malformed plan is fatal() — it is a user error and
-     * silently ignoring it would make a CI fault run vacuously green.
+     * (when set); a malformed plan, or one naming a site outside
+     * FAULT_SITES, is fatal() — it is a user error and silently
+     * ignoring it would make a CI fault run vacuously green.
      */
     static FaultRegistry &instance();
 
     /**
      * Replace the armed plan with @p plan (tests). An empty string
-     * disarms. Malformed plans are fatal(); see the file header for
-     * the grammar.
+     * disarms. Malformed plans and unknown sites are fatal(); see the
+     * file header for the grammar.
      */
     void arm(const std::string &plan);
 
@@ -144,8 +164,8 @@ bool ioFaultAt(const char *site, int *errnoOut);
 /**
  * Declare a fault site that executes its fault in place: `throw`
  * raises InjectedFault, `delay` sleeps, and the I/O kinds degrade to
- * throw. Use NOREBA_FAULT_ACTION instead where the caller simulates
- * short writes / EIO itself.
+ * throw. Use ioFaultAt() instead where the caller simulates short
+ * writes / EIO itself.
  */
 #define NOREBA_FAULT_SITE(site)                                           \
     do {                                                                  \
@@ -153,15 +173,5 @@ bool ioFaultAt(const char *site, int *errnoOut);
             ::noreba::FaultRegistry::execute(                             \
                 site, ::noreba::FaultRegistry::instance().onHit(site));   \
     } while (0)
-
-/**
- * Declare a fault site whose caller handles the action itself (I/O
- * paths simulating short writes and EIO returns). Evaluates to a
- * FaultAction; `fire` is false when unarmed.
- */
-#define NOREBA_FAULT_ACTION(site)                                         \
-    (::noreba::FaultRegistry::instance().armed()                          \
-         ? ::noreba::FaultRegistry::instance().onHit(site)                \
-         : ::noreba::FaultAction{})
 
 #endif // NOREBA_COMMON_FAULT_H

@@ -11,7 +11,6 @@
 #include "common/fs.h"
 #include "common/json.h"
 #include "common/logging.h"
-#include "exp/checkpoint.h"
 #include "exp/env.h"
 #include "trace/chrome_trace.h"
 #include "trace/event_log.h"
@@ -39,7 +38,7 @@ namespace {
 void
 maybeWriteJson(const ExperimentSpec &spec,
                const std::vector<SweepResult> &results,
-               const EventLog *events, double wallSeconds, bool resumed)
+               const EventLog *events, double wallSeconds)
 {
     const char *dir = std::getenv("NOREBA_JSON_DIR");
     if (!dir || !*dir)
@@ -66,9 +65,9 @@ maybeWriteJson(const ExperimentSpec &spec,
         .set("simCache", simCacheStatsToJson(globalResultCache().stats()))
         .set("perf", std::move(perf))
         .set("results", sweepToJson(results));
-    // The extra keys appear only on runs that had failures or resumed
-    // from a journal, so a clean cold run's JSON stays byte-identical
-    // to what it was before this machinery existed.
+    // The extra key appears only on runs that had failures, so a clean
+    // run's JSON stays byte-identical to what it was before this
+    // machinery existed.
     size_t numFailed = 0;
     for (const SweepResult &r : results)
         if (!r.ok)
@@ -88,8 +87,6 @@ maybeWriteJson(const ExperimentSpec &spec,
         }
         doc.set("failures", std::move(failures));
     }
-    if (resumed)
-        doc.set("resumedFromCheckpoint", true);
     std::string path = std::string(dir) + "/BENCH_" + spec.name + ".json";
     writeJsonFile(path, doc);
     std::printf("wrote %s (%zu records)\n", path.c_str(), results.size());
@@ -129,7 +126,7 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s --list | --run <name|all>[,<name>...] "
                  "[--run ...] [--json-dir <dir>] [--jobs <n>] "
-                 "[--keep-going] [--checkpoint <dir>]\n",
+                 "[--keep-going]\n",
                  argv0);
     return 2;
 }
@@ -179,22 +176,11 @@ runExperiment(const ExperimentSpec &spec, const RunOptions &opts)
 
     EventLog log;
     const bool capture = benchutil::eventTraceEnabled() && !jobs.empty();
-    const bool checkpointing = !opts.checkpointDir.empty() && !capture;
-
-    std::vector<SweepResult> results;
-    bool resumed = false;
-    if (checkpointing &&
-        loadCheckpoint(opts.checkpointDir, spec, plan.planned(),
-                       results)) {
-        resumed = true;
-        inform("%s: resumed %zu results from checkpoint (no simulation)",
-               spec.name.c_str(), results.size());
-    } else {
-        SweepRunner runner;
-        results = runner.run(jobs, capture ? &log : nullptr,
-                             opts.keepGoing ? FailurePolicy::Isolate
-                                            : FailurePolicy::Propagate);
-    }
+    SweepRunner runner;
+    const std::vector<SweepResult> results =
+        runner.run(jobs, capture ? &log : nullptr,
+                   opts.keepGoing ? FailurePolicy::Isolate
+                                  : FailurePolicy::Propagate);
 
     size_t numFailed = 0;
     for (const SweepResult &r : results)
@@ -216,11 +202,7 @@ runExperiment(const ExperimentSpec &spec, const RunOptions &opts)
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count();
-    maybeWriteJson(spec, results, capture ? &log : nullptr, wallSeconds,
-                   resumed);
-
-    if (checkpointing && !resumed && numFailed == 0)
-        saveCheckpoint(opts.checkpointDir, spec, plan.planned(), results);
+    maybeWriteJson(spec, results, capture ? &log : nullptr, wallSeconds);
     return numFailed;
 }
 
@@ -255,10 +237,6 @@ benchMain(int argc, char **argv)
             ::setenv("NOREBA_JOBS", argv[i], 1);
         } else if (arg == "--keep-going") {
             opts.keepGoing = true;
-        } else if (arg == "--checkpoint") {
-            if (++i >= argc)
-                return usage(argv[0]);
-            opts.checkpointDir = argv[i];
         } else {
             std::fprintf(stderr, "unknown option \"%s\"\n", arg.c_str());
             return usage(argv[0]);
@@ -274,17 +252,17 @@ benchMain(int argc, char **argv)
     if (names.empty())
         return usage(argv[0]);
 
-    // Create the output directories before any simulation: a
-    // mistyped path must fail in milliseconds, not after the sweep.
-    const char *jsonDir = std::getenv("NOREBA_JSON_DIR");
-    if (jsonDir && *jsonDir && !ensureDir(jsonDir)) {
-        std::fprintf(stderr, "cannot create json dir \"%s\"\n", jsonDir);
-        return 2;
-    }
-    if (!opts.checkpointDir.empty() && !ensureDir(opts.checkpointDir)) {
-        std::fprintf(stderr, "cannot create checkpoint dir \"%s\"\n",
-                     opts.checkpointDir.c_str());
-        return 2;
+    // Create the output and store directories before any simulation: a
+    // mistyped or read-only path must fail in milliseconds, not after
+    // the sweep, nor as a store that quietly degrades to bypass.
+    for (const char *var :
+         {"NOREBA_JSON_DIR", "NOREBA_TRACE_DIR", "NOREBA_RESULT_DIR"}) {
+        const char *dir = std::getenv(var);
+        if (dir && *dir && !(ensureDir(dir) && dirWritable(dir))) {
+            std::fprintf(stderr, "cannot create or write %s \"%s\"\n", var,
+                         dir);
+            return 2;
+        }
     }
 
     // Validate every name before running anything: a typo at position

@@ -24,7 +24,7 @@
 
 namespace noreba::bench {
 
-/** Driver-level resilience knobs (the --keep-going / --checkpoint CLI). */
+/** Driver-level resilience knobs (the --keep-going CLI). */
 struct RunOptions
 {
     /**
@@ -35,24 +35,15 @@ struct RunOptions
      * (exit 1), the historical behaviour.
      */
     bool keepGoing = false;
-
-    /**
-     * When non-empty, the checkpoint journal directory: completed
-     * experiments are journaled (exp/checkpoint.h) and a rerun serves
-     * them from the journal without simulating. Empty disables
-     * checkpointing. Event-traced runs bypass resume — a journal
-     * cannot replay a live EventLog.
-     */
-    std::string checkpointDir;
 };
 
 /**
  * Execute one experiment end to end: print its header, run the
  * planned sweep (capturing the first job's EventLog when
- * NOREBA_EVENT_TRACE is on) — or reconstruct it from a matching
- * checkpoint journal — invoke its report, and, when NOREBA_JSON_DIR
- * is set, write BENCH_<name>.json (and the TRACE_<name>.json Chrome
- * trace, exported from the captured log without re-simulating).
+ * NOREBA_EVENT_TRACE is on), invoke its report, and, when
+ * NOREBA_JSON_DIR is set, write BENCH_<name>.json (and the
+ * TRACE_<name>.json Chrome trace, exported from the captured log
+ * without re-simulating).
  *
  * Returns the number of failed jobs (always 0 unless
  * opts.keepGoing: without it the first failure propagates as an
@@ -68,11 +59,14 @@ void runExperiment(const ExperimentSpec &spec);
 /**
  * The noreba-bench CLI: --list, --run <name|all|comma-list>
  * (repeatable), --json-dir <dir> (sets NOREBA_JSON_DIR), --jobs <n>
- * (sets NOREBA_JOBS), --keep-going, --checkpoint <dir>. The json and
- * checkpoint directories are created up front; failure to create
- * either is a fast exit 2 before any simulation. Exit codes: 0 all
- * experiments clean, 1 an experiment failed (no --keep-going), 2
- * usage/setup error, 3 partial failure under --keep-going.
+ * (sets NOREBA_JOBS), --keep-going. The json directory and the store
+ * directories (NOREBA_TRACE_DIR, NOREBA_RESULT_DIR) are created and
+ * checked for writability up front; failure is a fast exit 2 before
+ * any simulation. Rerunning with the same NOREBA_RESULT_DIR resumes a
+ * killed run: every result it published loads, only the rest
+ * simulate. Exit codes: 0 all experiments clean, 1 an experiment
+ * failed (no --keep-going), 2 usage/setup error, 3 partial failure
+ * under --keep-going.
  */
 int benchMain(int argc, char **argv);
 

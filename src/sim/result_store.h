@@ -1,26 +1,22 @@
 /**
  * @file
- * Content-addressed on-disk store for simulation results, so a full
+ * Content-addressed persistent store for simulation results, so a full
  * reproduction run pays for each distinct (workload, trace options,
  * core config) simulation once per *machine*: a cold `noreba-bench
  * --run all` publishes every CoreStats under NOREBA_RESULT_DIR and a
  * warm rerun replays the whole figure set from disk without simulating
- * (simBuilds == 0), the same shape as result caching in a serving
- * stack.
+ * (simBuilds == 0). Each result is published the moment its job
+ * finishes, so rerunning a killed run with the same directory resumes
+ * it: finished jobs load, only the rest simulate.
  *
- * Keying is content-addressed: the key *text* is the workload name,
- * the canonical TraceOptions serialization, and the canonical
- * CoreConfig serialization (uarch/config.h field table), so any knob
- * that shapes the simulation is part of the identity. The file name
- * hashes that text together with the format version, the result model
- * version, the trace pass fingerprint, and the CoreStats layout
- * fingerprint; the full key text is stored in the file and compared on
- * load, so a hash collision misses instead of serving a wrong result.
- *
- * Discipline matches sim/trace_store.h: atomic write-then-rename
- * publishing, header + payload checksums, and any mismatch — magic,
- * version, fingerprint, size, checksum, key text — makes load fail and
- * the caller re-simulate; a corrupt or stale file is never half-read.
+ * A thin codec over the common blob format and publish policy
+ * (sim/blob_store.h). The blob key is resultKey(): the trace key plus
+ * the canonical CoreConfig serialization (uarch/config.h field
+ * table), so any knob that shapes the simulation is part of the
+ * identity; a load compares it, so a file-name hash collision misses.
+ * The payload is every CoreStats counter in declaration order, then
+ * the per-branch stall map as (pc, stallCycles, instances, dependents)
+ * records sorted by pc.
  */
 
 #ifndef NOREBA_SIM_RESULT_STORE_H
@@ -29,14 +25,15 @@
 #include <cstdint>
 #include <string>
 
+#include "sim/blob_store.h"
 #include "sim/runner.h"
 #include "uarch/config.h"
 #include "uarch/stats.h"
 
 namespace noreba {
 
-/** Bump on any change to the on-disk result layout. */
-constexpr uint32_t RESULT_STORE_FORMAT_VERSION = 1;
+/** Bump on any change to the result payload layout. */
+constexpr uint32_t RESULT_STORE_FORMAT_VERSION = 2;
 
 /**
  * Fingerprint of the simulation semantics: bump whenever Core, a
@@ -56,8 +53,8 @@ constexpr uint64_t RESULT_STORE_MODEL_VERSION = 1;
  */
 uint64_t coreStatsLayoutFingerprint();
 
-/** NOREBA_RESULT_DIR, or empty when the store is disabled. */
-std::string resultStoreDir();
+/** The NOREBA_RESULT_DIR result store. */
+BlobStore &resultBlobStore();
 
 /**
  * The content-addressed identity of one simulation: workload, trace
@@ -77,9 +74,9 @@ std::string resultPath(const std::string &workload, const CoreConfig &cfg,
 /**
  * Whether results for @p cfg may be served from / published to the
  * disk store. Event-traced runs need a live EventLog and the
- * verification modes (safetyChecks, shadowIndexCheck) exist to *run*
- * their checks, so caching them would defeat the point; all are
- * simulated for real. attributeStalls runs are eligible — the
+ * verification modes (shadowIndexCheck, shadowSchedulerCheck) exist
+ * to *run* their checks, so caching them would defeat the point; all
+ * are simulated for real. attributeStalls runs are eligible — the
  * per-branch stall map is serialized alongside the counters.
  */
 bool resultStoreEligible(const CoreConfig &cfg);
@@ -93,26 +90,13 @@ bool loadResult(const std::string &path, const std::string &key,
                 CoreStats &out);
 
 /**
- * Serialize @p stats to @p path with atomic write-then-rename
- * publishing. Creates the store directory if needed. Transient I/O
- * failures are retried up to STORE_PUBLISH_ATTEMPTS times with
- * deterministic jittered backoff. Returns the bytes written, or 0 on
- * failure (warns, never aborts — the store is a cache, losing it costs
- * a re-simulation). Fault sites: result_store.{write,fsync,rename};
- * reads go through result_store.read in loadResult().
+ * Publish @p stats at @p path under @p key through the result store
+ * (sim/blob_store.h: atomic, retried, degrading). Returns the bytes
+ * written, or 0 on failure — the store is a cache, losing it costs a
+ * re-simulation.
  */
 size_t saveResult(const std::string &path, const std::string &key,
                   const CoreStats &stats);
-
-/**
- * True once repeated publish failures degraded the store to
- * cache-bypass mode: loads still serve, saveResult() returns 0 without
- * touching the disk, and the run warned exactly once.
- */
-bool resultStoreBypassed();
-
-/** Clear the failure streak and bypass latch (tests). */
-void resetResultStoreHealth();
 
 } // namespace noreba
 

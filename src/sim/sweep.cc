@@ -10,8 +10,8 @@
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "sim/blob_store.h"
 #include "sim/result_store.h"
-#include "sim/store_health.h"
 #include "sim/trace_store.h"
 
 namespace noreba {
@@ -104,10 +104,12 @@ BundleCache::lookup(const std::string &workload, const TraceOptions &opts,
         std::call_once(entry->once, [&] {
             // Injected builders produce synthetic bundles: never read
             // or publish the on-disk store for them.
+            const std::string storeKey = traceKey(workload, opts);
             const std::string path =
-                builder_ ? std::string() : traceBundlePath(workload, opts);
+                builder_ ? std::string()
+                         : traceBlobStore().path(workload, storeKey);
             if (!path.empty()) {
-                if (auto mapped = MappedTraceBundle::open(path)) {
+                if (auto mapped = MappedTraceBundle::open(path, storeKey)) {
                     auto bundle = std::make_shared<TraceBundle>();
                     bundle->workload = workload;
                     bundle->misp = mapped->misp();
@@ -141,7 +143,7 @@ BundleCache::lookup(const std::string &workload, const TraceOptions &opts,
                     prepareTrace(workload, opts));
             }
             const size_t published =
-                path.empty() ? 0 : saveTraceBundle(path, *bundle);
+                path.empty() ? 0 : saveTraceBundle(path, storeKey, *bundle);
             std::lock_guard<std::mutex> lock(mutex_);
             ++stats_.builds;
             stats_.bytesWritten += published;
@@ -270,7 +272,7 @@ ResultCache::get(const SweepJob &job, const Simulate &sim)
         std::call_once(entry->once, [&] {
             const std::string path =
                 resultStoreEligible(job.cfg)
-                    ? resultPath(job.workload, job.cfg, job.trace)
+                    ? resultBlobStore().path(job.workload, key)
                     : std::string();
             CoreStats stats;
             if (!path.empty() && loadResult(path, key, stats)) {

@@ -1,31 +1,24 @@
 /**
  * @file
- * Versioned, checksummed on-disk store for prepared trace bundles, so
- * the compile -> annotate -> interpret -> predictor-replay pipeline
- * runs once per (workload, options) across *processes*: a cold bench
- * run publishes each bundle under NOREBA_TRACE_DIR and every later
- * bench (or sweep worker) starts from an mmap in milliseconds, with
- * memory bounded by the page cache instead of one heap vector per
- * process.
+ * Persistent store for prepared trace bundles, so the compile ->
+ * annotate -> interpret -> predictor-replay pipeline runs once per
+ * (workload, options) across *processes*: a cold bench run publishes
+ * each bundle under NOREBA_TRACE_DIR and every later bench (or sweep
+ * worker) starts from an mmap in milliseconds, with memory bounded by
+ * the page cache instead of one heap vector per process.
  *
- * Format (one file per bundle, little-endian host layout):
+ * A thin codec over the common blob format and publish policy
+ * (sim/blob_store.h). The blob key is traceKey(); the payload is
  *
- *   BundleHeader | workload | trace name | pad8 | TraceRecord[] |
+ *   TraceMeta | trace name | pad8 | TraceRecord[] |
  *   misprediction bitmap | PassResult blob
  *
  * The record section is the in-memory TraceRecord layout verbatim —
  * fixed-width fields, trivially copyable, layout-fingerprinted — so a
- * mapped file serves records zero-copy through a TraceView. Files are
- * published atomically (write to a unique temp file, fsync, rename), so
- * concurrent same-key writers race benignly and a reader never sees a
- * half-written bundle. Any mismatch — magic, format version, record
- * layout, pass fingerprint, size, header or payload checksum — makes
- * open() return nullptr and the caller rebuild; a corrupted, truncated
- * or stale file is never half-read.
- *
- * Cache key: a bundle file name encodes (workload, TraceOptions, format
- * version, pass fingerprint, record layout), so changing any of them
- * simply misses and re-populates rather than serving stale data.
+ * mapped file serves records zero-copy through a TraceView. Any
+ * mismatch — magic, schema, size, checksum, key, section lengths —
+ * makes open() return nullptr and the caller rebuild; a corrupted,
+ * truncated or stale file is never half-read.
  */
 
 #ifndef NOREBA_SIM_TRACE_STORE_H
@@ -36,12 +29,13 @@
 #include <string>
 #include <vector>
 
+#include "sim/blob_store.h"
 #include "sim/runner.h"
 
 namespace noreba {
 
-/** Bump on any change to the on-disk bundle layout. */
-constexpr uint32_t TRACE_STORE_FORMAT_VERSION = 1;
+/** Bump on any change to the bundle payload layout. */
+constexpr uint32_t TRACE_STORE_FORMAT_VERSION = 2;
 
 /**
  * Fingerprint of the trace-producing semantics: bump whenever the
@@ -53,18 +47,23 @@ constexpr uint64_t TRACE_STORE_PASS_FINGERPRINT = 1;
 
 /**
  * Compile-time fingerprint of the TraceRecord memory layout (size,
- * field offsets, endianness tag). Part of both the file name and the
- * header, so a bundle written by an ABI-incompatible build is rejected.
+ * field offsets, endianness tag). Part of the store's schema, so a
+ * bundle written by an ABI-incompatible build is rejected.
  */
 uint64_t traceRecordLayoutFingerprint();
 
-/** NOREBA_TRACE_DIR, or empty when the store is disabled. */
-std::string traceStoreDir();
+/** The NOREBA_TRACE_DIR bundle store. */
+BlobStore &traceBlobStore();
+
+/**
+ * The identity of one prepared trace: workload and every TraceOptions
+ * field, as exact, locale-independent text. The prefix of resultKey().
+ */
+std::string traceKey(const std::string &workload, const TraceOptions &opts);
 
 /**
  * Full path of the bundle file for one cache key, or empty when the
- * store is disabled. The file name is
- * `<workload>-<key hash>.v<format version>.ntb`.
+ * store is disabled. `<workload>-<key hash>.v<format version>.ntb`.
  */
 std::string traceBundlePath(const std::string &workload,
                             const TraceOptions &opts);
@@ -79,11 +78,19 @@ class MappedTraceBundle
   public:
     /**
      * Map and validate `path`. Returns nullptr on any failure — missing
-     * file, wrong magic/version/fingerprint, truncation, checksum
-     * mismatch, malformed pass blob — never a partially valid bundle.
+     * file, wrong magic/schema, truncation, checksum mismatch,
+     * malformed sections — never a partially valid bundle.
      */
     static std::shared_ptr<const MappedTraceBundle>
     open(const std::string &path);
+
+    /**
+     * As open(path), and additionally miss unless the file was
+     * published under @p key. A file published without a key (the
+     * two-argument saveTraceBundle) is served by its name alone.
+     */
+    static std::shared_ptr<const MappedTraceBundle>
+    open(const std::string &path, const std::string &key);
 
     ~MappedTraceBundle();
     MappedTraceBundle(const MappedTraceBundle &) = delete;
@@ -92,7 +99,8 @@ class MappedTraceBundle
     /** Zero-copy view of the record section. */
     TraceView view() const;
 
-    const std::string &workload() const { return workload_; }
+    /** The traceKey() the bundle was published under (may be empty). */
+    const std::string &key() const { return key_; }
     /** Misprediction verdicts, expanded from the on-disk bitmap. */
     const std::vector<uint8_t> &misp() const { return misp_; }
     const PassResult &pass() const { return pass_; }
@@ -110,33 +118,23 @@ class MappedTraceBundle
     size_t numRecords_ = 0;
     TraceSummary summary_;
     std::string name_;
-    std::string workload_;
+    std::string key_;
     std::vector<uint8_t> misp_;
     PassResult pass_;
     uint64_t archChecksum_ = 0;
 };
 
 /**
- * Serialize `bundle` to `path` with atomic write-then-rename
- * publishing. Creates the store directory if needed. Transient I/O
- * failures are retried up to STORE_PUBLISH_ATTEMPTS times with
- * deterministic jittered backoff. Returns the bytes written, or 0 on
- * failure (warns, never aborts — the store is a cache, losing it costs
- * a rebuild). Fault sites: trace_store.{write,fsync,rename}; reads go
- * through trace_store.read in MappedTraceBundle::open.
+ * Publish `bundle` at `path` under @p key through the trace store
+ * (sim/blob_store.h: atomic, retried, degrading). Returns the bytes
+ * written, or 0 on failure — the store is a cache, losing it costs a
+ * rebuild.
  */
+size_t saveTraceBundle(const std::string &path, const std::string &key,
+                       const TraceBundle &bundle);
+
+/** saveTraceBundle without a key: the file is served by name alone. */
 size_t saveTraceBundle(const std::string &path, const TraceBundle &bundle);
-
-/**
- * True once repeated publish failures (STORE_DEGRADE_STREAK
- * consecutive, each past its own retries) degraded the store to
- * cache-bypass mode: reads still serve, saveTraceBundle() returns 0
- * without touching the disk, and the run warned exactly once.
- */
-bool traceStoreBypassed();
-
-/** Clear the failure streak and bypass latch (tests). */
-void resetTraceStoreHealth();
 
 } // namespace noreba
 

@@ -49,8 +49,8 @@ commitModeFromName(const std::string &name, CommitMode &out)
 static_assert(sizeof(CoreConfig) ==
                   sizeof(std::string) + 4 * sizeof(CacheConfig) +
                       sizeof(SelectiveRobConfig) + 27 * sizeof(int) +
-                      sizeof(CommitMode) + 7 * sizeof(bool) +
-                      sizeof(size_t) + /* padding */ 5,
+                      sizeof(CommitMode) + 6 * sizeof(bool) +
+                      sizeof(size_t) + /* padding */ 6,
               "CoreConfig changed: update NOREBA_CORE_CONFIG_FIELDS "
               "(uarch/config.h) and this tripwire together");
 #endif

@@ -118,7 +118,6 @@ struct CoreConfig
 
     /** @name Instrumentation @{ */
     bool attributeStalls = false; //!< per-branch ROB-stall stats (Fig 7)
-    bool safetyChecks = false;    //!< enable commit-order assertions
     /** Re-derive every PipelineIndex answer from a naive ROB scan each
      *  cycle and panic on divergence (differential testing only). */
     bool shadowIndexCheck = false;
@@ -207,7 +206,6 @@ struct CoreConfig
     B(srob.enforceInstanceOrder)                                          \
     B(earlyCommitLoads)                                                   \
     B(attributeStalls)                                                    \
-    B(safetyChecks)                                                       \
     B(shadowIndexCheck)                                                   \
     B(shadowSchedulerCheck)                                               \
     B(eventTrace)                                                         \

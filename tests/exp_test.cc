@@ -9,6 +9,8 @@
  * unknown name.
  */
 
+#include <dirent.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -22,11 +24,11 @@
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
-#include "exp/checkpoint.h"
 #include "exp/driver.h"
 #include "exp/env.h"
 #include "exp/experiment.h"
 #include "experiments.h"
+#include "sim/result_store.h"
 #include "sim/runner.h"
 #include "sim/sweep.h"
 #include "uarch/config.h"
@@ -213,7 +215,8 @@ TEST(Env, JobCarriesTraceLenAndEventTraceKnobs)
     unsetenv("NOREBA_TRACE_LEN");
 }
 
-// Checkpoint journal + driver resilience (--keep-going/--checkpoint).
+// Driver resilience: resuming from the result store, --keep-going, and
+// up-front validation of the output and store directories.
 
 /** mkdtemp'd scratch directory, removed recursively on scope exit. */
 struct TempDir
@@ -249,132 +252,117 @@ slurp(const std::string &path)
     return out.str();
 }
 
-CoreStats
-checkpointStats(uint64_t seedValue)
+/** Number of published result files (`*.nrs`) in @p dir. */
+int
+resultFilesIn(const std::string &dir)
 {
-    CoreStats s;
-    uint64_t v = seedValue;
-    for (const CoreStatsField &f : CORE_STATS_FIELDS)
-        if (f.counter)
-            s.*f.counter = v++;
-    s.branchStalls[0x400 + seedValue] = BranchStall{seedValue, 2, 3};
-    return s;
-}
-
-TEST(Checkpoint, RoundTripsResultsAndValidatesFingerprint)
-{
-    TempDir dir;
-    ExperimentSpec spec;
-    spec.name = "exp_test_ckpt";
-
-    ExperimentPlan plan;
-    plan.add("mcf", "InO-C", testJob("mcf", CommitMode::InOrder));
-    plan.add("mcf", "Noreba", testJob("mcf", CommitMode::Noreba));
-
-    std::vector<SweepResult> results(2);
-    for (size_t i = 0; i < results.size(); ++i) {
-        results[i].job = plan.planned()[i].job;
-        results[i].stats = checkpointStats(10 * (i + 1));
-    }
-    saveCheckpoint(dir.path, spec, plan.planned(), results);
-
-    std::vector<SweepResult> loaded;
-    ASSERT_TRUE(
-        loadCheckpoint(dir.path, spec, plan.planned(), loaded));
-    ASSERT_EQ(loaded.size(), 2u);
-    for (size_t i = 0; i < loaded.size(); ++i) {
-        EXPECT_TRUE(loaded[i].ok);
-        EXPECT_EQ(loaded[i].job.workload, "mcf");
-        for (const CoreStatsField &f : CORE_STATS_FIELDS) {
-            if (f.counter)
-                EXPECT_EQ(loaded[i].stats.*f.counter,
-                          results[i].stats.*f.counter)
-                    << f.name << " of result " << i;
+    int n = 0;
+    if (DIR *d = opendir(dir.c_str())) {
+        while (dirent *e = readdir(d)) {
+            const std::string name = e->d_name;
+            if (name.size() > 4 &&
+                name.compare(name.size() - 4, 4, ".nrs") == 0)
+                ++n;
         }
-        ASSERT_EQ(loaded[i].stats.branchStalls.size(),
-                  results[i].stats.branchStalls.size());
-        for (const auto &[pc, stall] : results[i].stats.branchStalls) {
-            auto it = loaded[i].stats.branchStalls.find(pc);
-            ASSERT_NE(it, loaded[i].stats.branchStalls.end());
-            EXPECT_EQ(it->second.stallCycles, stall.stallCycles);
-            EXPECT_EQ(it->second.instances, stall.instances);
-            EXPECT_EQ(it->second.dependents, stall.dependents);
-        }
+        closedir(d);
     }
-
-    // A plan that would simulate anything different must miss.
-    ExperimentPlan grown;
-    grown.add("mcf", "InO-C", testJob("mcf", CommitMode::InOrder));
-    grown.add("mcf", "Noreba", testJob("mcf", CommitMode::Noreba));
-    grown.add("CRC32", "InO-C", testJob("CRC32", CommitMode::InOrder));
-    EXPECT_NE(planFingerprint(plan.planned()),
-              planFingerprint(grown.planned()));
-    std::vector<SweepResult> missed;
-    EXPECT_FALSE(
-        loadCheckpoint(dir.path, spec, grown.planned(), missed));
+    return n;
 }
 
-TEST(Checkpoint, NeverJournalsFailedOrEmptyRuns)
-{
-    TempDir dir;
-    ExperimentSpec spec;
-    spec.name = "exp_test_ckpt_failed";
-
-    ExperimentPlan plan;
-    plan.add("mcf", "InO-C", testJob("mcf", CommitMode::InOrder));
-    std::vector<SweepResult> results(1);
-    results[0].job = plan.planned()[0].job;
-    results[0].ok = false;
-    saveCheckpoint(dir.path, spec, plan.planned(), results);
-    std::vector<SweepResult> loaded;
-    EXPECT_FALSE(
-        loadCheckpoint(dir.path, spec, plan.planned(), loaded));
-
-    ExperimentPlan empty;
-    std::vector<SweepResult> none;
-    saveCheckpoint(dir.path, spec, empty.planned(), none);
-    EXPECT_FALSE(loadCheckpoint(dir.path, spec, empty.planned(), none));
-}
-
-TEST(Driver, ResumesFromCheckpointWithoutSimulating)
+TEST(Driver, ResumesFromTheResultStoreSimulatingOnlyUnfinishedJobs)
 {
     setenv("NOREBA_TRACE_LEN", "20000", 1);
     unsetenv("NOREBA_JSON_DIR");
     unsetenv("NOREBA_EVENT_TRACE");
     TempDir dir;
-    FaultGuard guard;
+    setenv("NOREBA_RESULT_DIR", dir.path.c_str(), 1);
 
     ExperimentSpec spec;
     spec.name = "exp_test_resume";
-    spec.title = "Checkpoint resume";
+    spec.title = "Result-store resume";
     spec.description = "one workload, two modes";
-    spec.plan = [](ExperimentPlan &plan) {
-        plan.add("CRC32", "InO-C", testJob("CRC32", CommitMode::InOrder));
-        plan.add("CRC32", "Noreba", testJob("CRC32", CommitMode::Noreba));
+    // A trace length of its own keeps other tests' results in this
+    // process's memory tier from serving these jobs.
+    SweepJob finished = testJob("CRC32", CommitMode::InOrder);
+    SweepJob unfinished = testJob("CRC32", CommitMode::Noreba);
+    finished.trace.maxDynInsts = unfinished.trace.maxDynInsts =
+        TEST_TRACE_LEN + 1;
+    spec.plan = [&](ExperimentPlan &plan) {
+        plan.add("CRC32", "InO-C", finished);
+        plan.add("CRC32", "Noreba", unfinished);
     };
+
+    // A run killed after its first job: that job's result is published,
+    // the second never ran. A private result cache stands in for the
+    // dead process, so nothing of it survives in this one's memory.
+    ResultCache killed;
+    const std::vector<SweepResult> before =
+        SweepRunner(1, &globalBundleCache(), &killed).run({finished});
+    ASSERT_EQ(resultFilesIn(dir.path), 1);
+
+    const SimCacheStats s0 = globalResultCache().stats();
     int reported = 0;
-    uint64_t firstRunCycles = 0;
     spec.report = [&](const ExperimentResults &r) {
         ++reported;
-        if (firstRunCycles == 0)
-            firstRunCycles = r.at("CRC32", "InO-C").cycles;
-        else
-            EXPECT_EQ(r.at("CRC32", "InO-C").cycles, firstRunCycles);
+        EXPECT_EQ(r.at("CRC32", "InO-C").cycles, before[0].stats.cycles);
+        EXPECT_GT(r.at("CRC32", "Noreba").cycles, 0u);
     };
-
-    RunOptions opts;
-    opts.checkpointDir = dir.path;
-    EXPECT_EQ(runExperiment(spec, opts), 0u);
+    EXPECT_EQ(runExperiment(spec, RunOptions{}), 0u);
     EXPECT_EQ(reported, 1);
-    EXPECT_FALSE(
-        slurp(checkpointPath(dir.path, spec.name)).empty());
-
-    // Any attempt to run a sweep job now would throw: the resumed run
-    // must serve every result from the journal without simulating.
-    FaultRegistry::instance().arm("sweep.job=throw@1x*");
-    EXPECT_EQ(runExperiment(spec, opts), 0u);
-    EXPECT_EQ(reported, 2);
+    const SimCacheStats s1 = globalResultCache().stats();
+    EXPECT_EQ(s1.diskHits - s0.diskHits, 1u); // the finished job loaded
+    EXPECT_EQ(s1.simBuilds - s0.simBuilds, 1u); // only the rest ran
+    EXPECT_EQ(resultFilesIn(dir.path), 2);
+    unsetenv("NOREBA_RESULT_DIR");
     unsetenv("NOREBA_TRACE_LEN");
+}
+
+/** benchMain over @p args, returning its exit code and stderr. */
+int
+runBenchMain(std::vector<std::string> args, std::string &err)
+{
+    args.insert(args.begin(), "noreba-bench");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    ::testing::internal::CaptureStderr();
+    const int rc = benchMain(static_cast<int>(argv.size()), argv.data());
+    err = ::testing::internal::GetCapturedStderr();
+    return rc;
+}
+
+TEST(Driver, StoreDirectoriesAreCreatedAndCheckedUpFront)
+{
+    TempDir dir;
+    const std::string file = dir.path + "/not_a_dir";
+    std::ofstream(file) << "x";
+    std::string err;
+
+    // A store directory that cannot be created fails before anything
+    // runs — even before the experiment names are checked.
+    for (const char *var : {"NOREBA_TRACE_DIR", "NOREBA_RESULT_DIR"}) {
+        setenv(var, (file + "/store").c_str(), 1);
+        EXPECT_EQ(runBenchMain({"--run", "exp_test_no_such"}, err), 2);
+        EXPECT_NE(err.find(var), std::string::npos) << err;
+        EXPECT_EQ(err.find("unknown experiment"), std::string::npos);
+        unsetenv(var);
+    }
+
+    // Creatable ones are created (mkdir -p) before the name check.
+    setenv("NOREBA_TRACE_DIR", (dir.path + "/a/traces").c_str(), 1);
+    setenv("NOREBA_RESULT_DIR", (dir.path + "/b/results").c_str(), 1);
+    EXPECT_EQ(runBenchMain({"--run", "exp_test_no_such"}, err), 2);
+    EXPECT_NE(err.find("unknown experiment"), std::string::npos) << err;
+    struct stat st;
+    EXPECT_EQ(::stat((dir.path + "/a/traces").c_str(), &st), 0);
+    EXPECT_EQ(::stat((dir.path + "/b/results").c_str(), &st), 0);
+    unsetenv("NOREBA_TRACE_DIR");
+    unsetenv("NOREBA_RESULT_DIR");
+
+    // The retired journal option is an unknown option now.
+    EXPECT_EQ(runBenchMain({"--checkpoint", dir.path, "--run", "all"}, err),
+              2);
+    EXPECT_NE(err.find("unknown option"), std::string::npos) << err;
 }
 
 TEST(Driver, KeepGoingRecordsFailuresAndSkipsReport)

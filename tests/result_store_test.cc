@@ -23,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "common/fault.h"
 #include "sim/result_store.h"
 #include "sim/sweep.h"
 #include "uarch/config.h"
@@ -317,12 +316,12 @@ TEST(ResultStore, KeyCoversEverySimulationShapingKnob)
 TEST(ResultStore, PathIsEmptyWhenTheStoreIsDisabled)
 {
     unsetenv("NOREBA_RESULT_DIR");
-    EXPECT_TRUE(resultStoreDir().empty());
+    EXPECT_TRUE(resultBlobStore().dir().empty());
     EXPECT_TRUE(
         resultPath("CRC32", skylakeConfig(), shortTrace()).empty());
 
     TempResultDir dir;
-    EXPECT_EQ(resultStoreDir(), dir.path);
+    EXPECT_EQ(resultBlobStore().dir(), dir.path);
     EXPECT_FALSE(
         resultPath("CRC32", skylakeConfig(), shortTrace()).empty());
 }
@@ -340,9 +339,9 @@ TEST(ResultStore, EligibilityExcludesVerificationAndEventTraceRuns)
     events.eventTrace = true;
     EXPECT_FALSE(resultStoreEligible(events));
 
-    CoreConfig safety = cfg;
-    safety.safetyChecks = true;
-    EXPECT_FALSE(resultStoreEligible(safety));
+    CoreConfig scheduler = cfg;
+    scheduler.shadowSchedulerCheck = true;
+    EXPECT_FALSE(resultStoreEligible(scheduler));
 
     CoreConfig shadow = cfg;
     shadow.shadowIndexCheck = true;
@@ -559,135 +558,6 @@ TEST(SweepRunner, WarmRunReplaysBitIdenticalResultsWithoutSimulating)
             << commitModeName(jobs[i].cfg.commitMode);
         EXPECT_EQ(warmResults[i].job.workload, jobs[i].workload);
     }
-}
-
-// Fault-injected failure paths, mirroring the trace-store suite: a
-// failed publish or read-back must be a clean cache miss, never a
-// torn file or a leftover temp file.
-
-/** Disarm + clear store degradation on scope exit, pass or fail. */
-struct FaultGuard
-{
-    ~FaultGuard()
-    {
-        FaultRegistry::instance().disarm();
-        resetResultStoreHealth();
-    }
-};
-
-int
-tmpFilesIn(const std::string &dir)
-{
-    int n = 0;
-    if (DIR *d = opendir(dir.c_str())) {
-        while (dirent *e = readdir(d)) {
-            if (std::string(e->d_name).find(".tmp.") != std::string::npos)
-                ++n;
-        }
-        closedir(d);
-    }
-    return n;
-}
-
-bool
-fileExists(const std::string &path)
-{
-    struct stat st;
-    return ::stat(path.c_str(), &st) == 0;
-}
-
-class ResultStoreFaults : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        resetResultStoreHealth();
-        cfg_ = skylakeConfig();
-        key_ = resultKey("CRC32", cfg_, shortTrace());
-        path_ = resultPath("CRC32", cfg_, shortTrace());
-        ASSERT_FALSE(path_.empty());
-        stats_ = syntheticStats();
-    }
-
-    void
-    expectFailedThenCleanPublish(const std::string &plan)
-    {
-        FaultGuard guard;
-        FaultRegistry::instance().arm(plan);
-        EXPECT_EQ(saveResult(path_, key_, stats_), 0u);
-        EXPECT_FALSE(fileExists(path_)) << "partial file published";
-        EXPECT_EQ(tmpFilesIn(dir_.path), 0) << "temp file left behind";
-
-        FaultRegistry::instance().disarm();
-        resetResultStoreHealth();
-        EXPECT_GT(saveResult(path_, key_, stats_), 0u);
-        CoreStats loaded;
-        EXPECT_TRUE(loadResult(path_, key_, loaded));
-        EXPECT_TRUE(statsEqual(stats_, loaded));
-    }
-
-    TempResultDir dir_;
-    CoreConfig cfg_;
-    std::string key_;
-    std::string path_;
-    CoreStats stats_;
-};
-
-TEST_F(ResultStoreFaults, ShortWriteLeavesNoPartialFile)
-{
-    expectFailedThenCleanPublish("result_store.write=short-write@1x3");
-}
-
-TEST_F(ResultStoreFaults, FailedFsyncLeavesNoPartialFile)
-{
-    expectFailedThenCleanPublish("result_store.fsync=eio@1x3");
-}
-
-TEST_F(ResultStoreFaults, FailedRenameLeavesNoPartialFile)
-{
-    expectFailedThenCleanPublish("result_store.rename=eio@1x3");
-}
-
-TEST_F(ResultStoreFaults, TransientWriteFaultIsRetriedToSuccess)
-{
-    FaultGuard guard;
-    FaultRegistry::instance().arm("result_store.write=eio@1");
-    EXPECT_GT(saveResult(path_, key_, stats_), 0u);
-    EXPECT_GE(FaultRegistry::instance().hitCount("result_store.write"),
-              2u);
-    EXPECT_EQ(tmpFilesIn(dir_.path), 0);
-    CoreStats loaded;
-    EXPECT_TRUE(loadResult(path_, key_, loaded));
-    EXPECT_TRUE(statsEqual(stats_, loaded));
-}
-
-TEST_F(ResultStoreFaults, ReadBackEioIsACacheMissNotACrash)
-{
-    FaultGuard guard;
-    ASSERT_GT(saveResult(path_, key_, stats_), 0u);
-    FaultRegistry::instance().arm("result_store.read=eio@1");
-    CoreStats loaded;
-    EXPECT_FALSE(loadResult(path_, key_, loaded));
-    // The fault was one-shot: the intact file serves the next load.
-    EXPECT_TRUE(loadResult(path_, key_, loaded));
-    EXPECT_TRUE(statsEqual(stats_, loaded));
-}
-
-TEST_F(ResultStoreFaults, RepeatedPublishFailuresDegradeToBypass)
-{
-    FaultGuard guard;
-    FaultRegistry::instance().arm("result_store.write=eio@1x*");
-    for (int i = 0; i < 3; ++i)
-        EXPECT_EQ(saveResult(path_, key_, stats_), 0u);
-    EXPECT_TRUE(resultStoreBypassed());
-
-    FaultRegistry::instance().disarm();
-    EXPECT_EQ(saveResult(path_, key_, stats_), 0u);
-    EXPECT_FALSE(fileExists(path_));
-
-    resetResultStoreHealth();
-    EXPECT_GT(saveResult(path_, key_, stats_), 0u);
 }
 
 TEST(SweepRunner, CustomBundleCacheAloneDisablesResultCaching)

@@ -6,9 +6,8 @@
  * under concurrent same-key writers, mmap-vs-in-memory replay
  * bit-identity across every commit mode, LRU bounding of the memory
  * tier, and the fail-fast guards on TraceIdx overflow and zero-cycle
- * speedups. The TraceStoreFaults suite drives every publish/read
- * failure path through NOREBA_FAULTS-style injected faults and checks
- * that no partially-published file is ever observable.
+ * speedups. The store's failure paths are driven for both codecs by
+ * blob_store_test.cc.
  */
 
 #include <atomic>
@@ -26,7 +25,6 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "common/fault.h"
 #include "common/thread_pool.h"
 #include "sim/sweep.h"
 #include "sim/trace_store.h"
@@ -144,12 +142,13 @@ TEST(TraceStore, RoundTripsEveryBundleField)
     TempStoreDir dir;
     TraceBundle bundle = prepareTrace("CRC32", shortTrace());
     const std::string path = traceBundlePath("CRC32", shortTrace());
+    const std::string key = traceKey("CRC32", shortTrace());
     ASSERT_FALSE(path.empty());
-    ASSERT_GT(saveTraceBundle(path, bundle), 0u);
+    ASSERT_GT(saveTraceBundle(path, key, bundle), 0u);
 
-    auto mapped = MappedTraceBundle::open(path);
+    auto mapped = MappedTraceBundle::open(path, key);
     ASSERT_NE(mapped, nullptr);
-    EXPECT_EQ(mapped->workload(), "CRC32");
+    EXPECT_EQ(mapped->key(), key);
     EXPECT_EQ(mapped->archChecksum(), bundle.checksum);
 
     TraceView disk = mapped->view();
@@ -195,6 +194,23 @@ TEST(TraceStore, RoundTripsEveryBundleField)
         EXPECT_EQ(a.numDataDeps, b.numDataDeps);
         EXPECT_EQ(a.controlBlocks, b.controlBlocks);
     }
+}
+
+TEST(TraceStore, UnkeyedBundlesAreServedByNameAlone)
+{
+    // The two-argument saveTraceBundle cannot know the options the
+    // bundle was prepared with; its files carry no key and a keyed open
+    // serves them by file name, as every bundle was served before keys.
+    TempStoreDir dir;
+    TraceOptions opts = shortTrace();
+    opts.maxDynInsts = 2000;
+    const TraceBundle bundle = prepareTrace("CRC32", opts);
+    const std::string path = traceBundlePath("CRC32", opts);
+    ASSERT_GT(saveTraceBundle(path, bundle), 0u);
+    auto mapped = MappedTraceBundle::open(path, traceKey("CRC32", opts));
+    ASSERT_NE(mapped, nullptr);
+    EXPECT_TRUE(mapped->key().empty());
+    EXPECT_EQ(mapped->archChecksum(), bundle.checksum);
 }
 
 TEST(TraceStore, RejectsTruncatedBitFlippedAndVersionMismatchedFiles)
@@ -399,140 +415,6 @@ TEST(TraceLimits, SpeedupPanicsOnZeroCycleRuns)
     candidate.cycles = 0;
     EXPECT_DEATH(speedup(baseline, candidate), "zero-cycle");
     EXPECT_DEATH(speedup(candidate, baseline), "zero-cycle");
-}
-
-// Fault-injected failure paths: every way a publish or read-back can
-// fail must leave the store with either the old state or the complete
-// new file — never a torn one — and clean up its temp files.
-
-/** Disarm + clear store degradation on scope exit, pass or fail. */
-struct FaultGuard
-{
-    ~FaultGuard()
-    {
-        FaultRegistry::instance().disarm();
-        resetTraceStoreHealth();
-    }
-};
-
-int
-tmpFilesIn(const std::string &dir)
-{
-    int n = 0;
-    if (DIR *d = opendir(dir.c_str())) {
-        while (dirent *e = readdir(d))
-            if (std::strstr(e->d_name, ".tmp."))
-                ++n;
-        closedir(d);
-    }
-    return n;
-}
-
-bool
-fileExists(const std::string &path)
-{
-    struct stat st;
-    return ::stat(path.c_str(), &st) == 0;
-}
-
-class TraceStoreFaults : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        resetTraceStoreHealth();
-        bundle_ = prepareTrace("CRC32", shortTrace());
-        path_ = traceBundlePath("CRC32", shortTrace());
-        ASSERT_FALSE(path_.empty());
-    }
-
-    /** Arm @p plan, expect the publish to fail without leaving any
-     *  file, then confirm a clean retry publishes a valid bundle. */
-    void
-    expectFailedThenCleanPublish(const std::string &plan)
-    {
-        FaultGuard guard;
-        FaultRegistry::instance().arm(plan);
-        EXPECT_EQ(saveTraceBundle(path_, bundle_), 0u);
-        EXPECT_FALSE(fileExists(path_)) << "partial file published";
-        EXPECT_EQ(tmpFilesIn(dir_.path), 0) << "temp file left behind";
-
-        FaultRegistry::instance().disarm();
-        resetTraceStoreHealth();
-        EXPECT_GT(saveTraceBundle(path_, bundle_), 0u);
-        EXPECT_NE(MappedTraceBundle::open(path_), nullptr);
-    }
-
-    TempStoreDir dir_;
-    TraceBundle bundle_;
-    std::string path_;
-};
-
-TEST_F(TraceStoreFaults, ShortWriteLeavesNoPartialFile)
-{
-    // x3 defeats all three publish attempts.
-    expectFailedThenCleanPublish("trace_store.write=short-write@1x3");
-}
-
-TEST_F(TraceStoreFaults, FailedFsyncLeavesNoPartialFile)
-{
-    expectFailedThenCleanPublish("trace_store.fsync=eio@1x3");
-}
-
-TEST_F(TraceStoreFaults, FailedRenameLeavesNoPartialFile)
-{
-    expectFailedThenCleanPublish("trace_store.rename=eio@1x3");
-}
-
-TEST_F(TraceStoreFaults, TransientWriteFaultIsRetriedToSuccess)
-{
-    FaultGuard guard;
-    // Only the first attempt's write fails; the bounded retry must
-    // publish a fully valid bundle on attempt two.
-    FaultRegistry::instance().arm("trace_store.write=eio@1");
-    EXPECT_GT(saveTraceBundle(path_, bundle_), 0u);
-    EXPECT_GE(FaultRegistry::instance().hitCount("trace_store.write"), 2u);
-    EXPECT_EQ(tmpFilesIn(dir_.path), 0);
-    EXPECT_NE(MappedTraceBundle::open(path_), nullptr);
-}
-
-TEST_F(TraceStoreFaults, ReadBackEioIsACacheMissNotACrash)
-{
-    FaultGuard guard;
-    ASSERT_GT(saveTraceBundle(path_, bundle_), 0u);
-    FaultRegistry::instance().arm("trace_store.read=eio@1");
-    EXPECT_EQ(MappedTraceBundle::open(path_), nullptr);
-    // The fault was one-shot: the intact file serves the next open.
-    EXPECT_NE(MappedTraceBundle::open(path_), nullptr);
-}
-
-TEST_F(TraceStoreFaults, RepeatedPublishFailuresDegradeToBypass)
-{
-    FaultGuard guard;
-    FaultRegistry::instance().arm("trace_store.write=eio@1x*");
-    for (int i = 0; i < 3; ++i)
-        EXPECT_EQ(saveTraceBundle(path_, bundle_), 0u);
-    EXPECT_TRUE(traceStoreBypassed());
-
-    // Degraded: no disk activity even with the fault gone.
-    FaultRegistry::instance().disarm();
-    EXPECT_EQ(saveTraceBundle(path_, bundle_), 0u);
-    EXPECT_FALSE(fileExists(path_));
-
-    // Reset re-arms the store.
-    resetTraceStoreHealth();
-    EXPECT_GT(saveTraceBundle(path_, bundle_), 0u);
-    EXPECT_NE(MappedTraceBundle::open(path_), nullptr);
-}
-
-TEST_F(TraceStoreFaults, InjectedThrowAtStoreSitePropagatesAndCleansUp)
-{
-    FaultGuard guard;
-    FaultRegistry::instance().arm("trace_store.fsync=throw@1");
-    EXPECT_THROW(saveTraceBundle(path_, bundle_), InjectedFault);
-    EXPECT_FALSE(fileExists(path_));
-    EXPECT_EQ(tmpFilesIn(dir_.path), 0);
 }
 
 } // namespace
